@@ -8,9 +8,7 @@ from .attention import (
     clustered_cross_attention,
     clustered_self_attention,
     full_self_attention,
-    load_weights,
     overlap_scores,
-    save_weights,
 )
 from .clustering import ClusterAssignment, SoftAssignment, soft_assignment, wasserstein_kmeans
 from .features import FeatureConfig, SeededMlp, encode, local_descriptor, spherical_positional_encoding
@@ -26,7 +24,6 @@ from .geometry import (
     farthest_point_sample,
     invert,
     matrix_to_euler,
-    nearest_neighbor,
     nearest_neighbors,
     random_transform,
 )
@@ -44,23 +41,8 @@ from .io import (
     write_cloud,
 )
 from .bench import BenchConfig, BenchConfigError, genpairs, report, run_bench
-from .losses import (
-    LossReport,
-    binary_cross_entropy,
-    clustering_loss,
-    global_registration_loss,
-    gradient_check,
-    overlap_score_loss,
-    welsch,
-)
-from .metrics import (
-    EvalRecord,
-    ccd,
-    geodesic_rotation_deg,
-    mae_rotation,
-    mae_translation,
-    near_gimbal_lock,
-)
+from .losses import binary_cross_entropy, gradient_check, overlap_score_loss, welsch
+from .metrics import ccd, geodesic_rotation_deg, mae_rotation, mae_translation, near_gimbal_lock
 from .mixture import WeightedGmm, estimate_gmm, gmm_l2_svd, match_components, weighted_svd
 from .registration import RegisterConfig, RegistrationResult, icp_baseline, register
 from .transport import TransportPlan, sinkhorn

@@ -13,7 +13,6 @@ approximately.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,47 +120,6 @@ class AttentionWeights:
         mlp = AttentionMlp.seeded(d, seed=int(rng.integers(0, 2**31 - 1)))
         return cls(wq, wk, wv, wo, mlp)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "attention",
-            "heads": int(self.heads),
-            "d": int(self.d),
-            "wq": self.wq.tolist(),
-            "wk": self.wk.tolist(),
-            "wv": self.wv.tolist(),
-            "wo": self.wo.tolist(),
-            "mlp": [self.mlp.w1.tolist(), self.mlp.w2.tolist(), self.mlp.w3.tolist()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "AttentionWeights":
-        if payload.get("kind") != "attention":
-            raise ValueError(f"not an attention manifest: kind={payload.get('kind')!r}")
-        mlp = AttentionMlp(*(np.array(w) for w in payload["mlp"]))
-        return cls(
-            np.array(payload["wq"]),
-            np.array(payload["wk"]),
-            np.array(payload["wv"]),
-            np.array(payload["wo"]),
-            mlp,
-        )
-
-
-def save_weights(weights, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(weights.to_json_dict(), fh, sort_keys=True)
-
-
-def load_weights(path):
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    kind = payload.get("kind")
-    if kind == "attention":
-        return AttentionWeights.from_json_dict(payload)
-    if kind == "overlap_head":
-        return OverlapHead.from_json_dict(payload)
-    raise ValueError(f"unknown weight manifest kind {kind!r}")
-
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
@@ -266,20 +224,6 @@ class OverlapHead:
 
     def g_beta(self, features: np.ndarray) -> np.ndarray:
         return _sigmoid(instance_norm(features @ self.w_beta))[:, 0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "overlap_head",
-            "tau": float(self.tau),
-            "w_alpha": self.w_alpha.tolist(),
-            "w_beta": self.w_beta.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "OverlapHead":
-        if payload.get("kind") != "overlap_head":
-            raise ValueError(f"not an overlap head manifest: kind={payload.get('kind')!r}")
-        return cls(np.array(payload["w_alpha"]), np.array(payload["w_beta"]), payload["tau"])
 
 
 def overlap_scores(

@@ -16,8 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .attention import _softmax_rows
 from .geometry import PointCloud, farthest_point_sample
 from .transport import sinkhorn
+
+# Each assignment step's transport solve: epsilon is this fraction of the
+# mean cost, so the relaxation is scale-free; the plan only feeds the
+# rounding, so a loose tolerance and small budget suffice.
+SINKHORN_EPSILON_SCALE = 0.05
+SINKHORN_MAX_ITER = 200
+SINKHORN_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -104,33 +112,12 @@ def _round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
     return labels
 
 
-def _repair_empty(labels: np.ndarray, points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Move the globally worst-fitting point into each empty cluster.
-
-    Unreachable when the floor constraint holds (every size >= floor >= 1);
-    kept as a guard against future relaxations of the rounding rule.
-    """
-    j = centroids.shape[0]
-    sizes = np.bincount(labels, minlength=j)
-    for empty in np.flatnonzero(sizes == 0):
-        fit = np.linalg.norm(points - centroids[labels], axis=1)
-        fit[sizes[labels] <= 1] = -np.inf  # do not empty another cluster
-        worst = int(np.argmax(fit))
-        sizes[labels[worst]] -= 1
-        labels[worst] = empty
-        sizes[empty] = 1
-    return labels
-
-
 def _kmeans_balanced(
     points: np.ndarray,
     n_clusters: int,
     seed: int,
     max_iter: int = 50,
     tol: float = 1e-6,
-    sinkhorn_epsilon_scale: float = 0.05,
-    sinkhorn_max_iter: int = 200,
-    sinkhorn_tol: float = 1e-4,
 ):
     """Core balanced k-means on an (N, dim) array; dim is arbitrary."""
     x = np.asarray(points, dtype=np.float64)
@@ -149,13 +136,12 @@ def _kmeans_balanced(
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         cost = cdist(x, centroids, "sqeuclidean")
-        epsilon = max(sinkhorn_epsilon_scale * float(cost.mean()), 1e-12)
+        epsilon = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
         plan = sinkhorn(
             cost, row_mass, col_mass,
-            epsilon=epsilon, max_iter=sinkhorn_max_iter, tol=sinkhorn_tol,
+            epsilon=epsilon, max_iter=SINKHORN_MAX_ITER, tol=SINKHORN_TOL,
         )
         labels = _round_balanced(plan.matrix, n, j)
-        labels = _repair_empty(labels, x, centroids)
         gamma = np.zeros((n, j))
         gamma[np.arange(n), labels] = 1.0
         sizes = gamma.sum(axis=0)
@@ -241,8 +227,5 @@ def soft_assignment(
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     assignment = _kmeans_balanced(f, n_components, seed)
-    logits = -cdist(f, assignment.centroids, "sqeuclidean") / temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    scores = np.exp(logits)
-    scores /= scores.sum(axis=1, keepdims=True)
+    scores = _softmax_rows(-cdist(f, assignment.centroids, "sqeuclidean") / temperature)
     return SoftAssignment(scores, assignment.centroids, temperature)

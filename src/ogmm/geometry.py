@@ -230,16 +230,8 @@ def random_transform(seed: int, rot_max_deg: float = 45.0, trans_max: float = 0.
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix; clamps the tiny negatives sqrt can see."""
+    """Dense (len(a), len(b)) Euclidean distance matrix, via scipy's cdist."""
     return cdist(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
-
-def nearest_neighbor(query: np.ndarray, target: PointCloud) -> tuple[int, float]:
-    """Index and distance of the closest target point (lowest index wins ties)."""
-    q = _as_float_array(query, "query", (3,))
-    d = np.linalg.norm(target.points - q, axis=1)
-    idx = int(np.argmin(d))
-    return idx, float(d[idx])
 
 
 def nearest_neighbors(queries: np.ndarray, target: PointCloud) -> tuple[np.ndarray, np.ndarray]:

@@ -1,24 +1,17 @@
-"""Diagnostic losses: robust alignment error, assignment cross-entropy,
-and overlap-score cross-entropy.
+"""Diagnostic losses: overlap-score cross-entropy and the Welsch penalty.
 
 These mirror the quantities a training run would minimize, but here they
 only grade a finished registration, so everything is a plain evaluable
-function with a hand-written derivative where one is worth checking.
+function with a hand-written derivative and a finite-difference checker
+to hold it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-from scipy.spatial.distance import cdist
-
-from .geometry import PointCloud, RigidTransform, nearest_neighbors, transform_points
-from .mixture import WeightedGmm
 
 BCE_CLAMP = 1e-7
 WELSCH_NU_SYNTHETIC = 0.1
-WELSCH_NU_INDOOR = 0.5
 
 
 def welsch(x, nu: float = WELSCH_NU_SYNTHETIC):
@@ -71,45 +64,6 @@ def overlap_score_loss(predicted_p, labels_p, predicted_q, labels_q) -> float:
     )
 
 
-def global_registration_loss(
-    source: PointCloud,
-    target: PointCloud,
-    estimated: RigidTransform,
-    gt: RigidTransform,
-    nu: float = WELSCH_NU_SYNTHETIC,
-) -> float:
-    """Robust distance between the estimated placement of each source point
-    and its pseudo-correspondence (the target point nearest to the true
-    placement), summed over the source cloud."""
-    truth = transform_points(gt, source.points)
-    idx, _ = nearest_neighbors(truth, target)
-    matched = target.points[idx]
-    moved = transform_points(estimated, source.points)
-    residuals = np.linalg.norm(moved - matched, axis=1)
-    return float(np.sum(welsch(residuals, nu)))
-
-
-def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
-    peak = values.max(axis=1, keepdims=True)
-    return peak + np.log(np.exp(values - peak).sum(axis=1, keepdims=True))
-
-
-def clustering_loss(pc: PointCloud, gamma, gmm: WeightedGmm) -> float:
-    """Cross-entropy between an assignment and the distance softmax over the
-    mixture means, summed over points. gamma rows must sum to one; a hard
-    one-hot assignment gives the usual negative log-likelihood."""
-    g = np.asarray(gamma, dtype=np.float64)
-    if g.shape != (len(pc), gmm.n_components):
-        raise ValueError(
-            f"gamma must have shape ({len(pc)}, {gmm.n_components}), got {g.shape}"
-        )
-    if np.any(g < 0) or np.max(np.abs(g.sum(axis=1) - 1.0)) > 1e-9:
-        raise ValueError("gamma rows must be non-negative and sum to one")
-    logits = -cdist(pc.points, gmm.means)
-    log_softmax = logits - _logsumexp_rows(logits)
-    return float(-np.sum(g * log_softmax))
-
-
 def gradient_check(fn, point, analytic_grad, h: float = 1e-5) -> float:
     """Max relative error between analytic_grad and central differences of fn.
 
@@ -132,41 +86,3 @@ def gradient_check(fn, point, analytic_grad, h: float = 1e-5) -> float:
         scale = max(abs(numeric), abs(analytic[i]), 1.0)
         worst = max(worst, abs(numeric - analytic[i]) / scale)
     return worst
-
-
-@dataclass(frozen=True)
-class LossReport:
-    """The three diagnostic losses and their weighted total."""
-
-    overlap_loss: float
-    registration_loss: float
-    clustering_loss: float
-    weights: tuple = (1.0, 1.0, 1.0)
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        parts = (self.overlap_loss, self.registration_loss, self.clustering_loss)
-        for name, value in zip(("overlap_loss", "registration_loss", "clustering_loss"), parts):
-            value = float(value)
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-            object.__setattr__(self, name, value)
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) != 3 or any(w < 0 or not np.isfinite(w) for w in weights):
-            raise ValueError("weights must be three non-negative reals")
-        object.__setattr__(self, "weights", weights)
-        total = (
-            weights[0] * self.overlap_loss
-            + weights[1] * self.registration_loss
-            + weights[2] * self.clustering_loss
-        )
-        object.__setattr__(self, "total", total)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "overlap_loss": self.overlap_loss,
-            "registration_loss": self.registration_loss,
-            "clustering_loss": self.clustering_loss,
-            "weights": list(self.weights),
-            "total": self.total,
-        }

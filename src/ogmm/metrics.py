@@ -1,4 +1,4 @@
-"""Alignment error metrics and the per-pair evaluation record.
+"""Alignment error metrics.
 
 Rotation error follows the component-wise Euler protocol (mean absolute
 difference of the three Z-Y-X angles, in degrees); the geodesic angle is
@@ -8,13 +8,10 @@ clipped rather than truncated so it stays monotone in alignment quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import PointCloud, RigidTransform, nearest_neighbors
 
-CSV_HEADER = "pair_id,seed,mae_r_deg,mae_t,ccd,geodesic_deg,runtime_ms"
 CCD_CLIP_DEFAULT = 0.1
 GIMBAL_PROXIMITY_DEG = 89.9
 
@@ -41,91 +38,19 @@ def near_gimbal_lock(transform: RigidTransform, threshold_deg: float = GIMBAL_PR
     return abs(transform.euler_angles().ry) > threshold_deg
 
 
-def _directed(points: np.ndarray, other: PointCloud, clip: float, discard: bool) -> float:
+def _directed(points: np.ndarray, other: PointCloud, clip: float) -> float:
     _, dists = nearest_neighbors(points, other)
-    if not discard:
-        return float(np.minimum(dists, clip).mean())
-    kept = dists[dists <= clip]
-    return float(kept.mean()) if kept.size else 0.0
+    return float(np.minimum(dists, clip).mean())
 
 
-def ccd(
-    source_transformed: PointCloud,
-    target: PointCloud,
-    clip: float = CCD_CLIP_DEFAULT,
-    discard: bool = False,
-) -> float:
+def ccd(source_transformed: PointCloud, target: PointCloud, clip: float = CCD_CLIP_DEFAULT) -> float:
     """Clipped chamfer distance, averaged over both directions.
 
     Nearest-neighbor distances are clamped at `clip` so far-away points
-    saturate instead of dominating. discard=True drops them entirely, the
-    literal reading of the protocol; that variant is not monotone in
-    alignment quality and exists only for comparison.
+    saturate instead of dominating.
     """
     if clip <= 0:
         raise ValueError("clip must be positive")
-    forward = _directed(source_transformed.points, target, clip, discard)
-    backward = _directed(target.points, source_transformed, clip, discard)
+    forward = _directed(source_transformed.points, target, clip)
+    backward = _directed(target.points, source_transformed, clip)
     return 0.5 * (forward + backward)
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """One registration scored against its ground truth.
-
-    gimbal_suspect marks pairs whose estimated or true rotation sits close
-    enough to the ry = 90 degree singularity that the Euler-based MAE is
-    unreliable; the geodesic column stays valid there.
-    """
-
-    pair_id: str
-    seed: int
-    mae_r_deg: float
-    mae_t: float
-    ccd: float
-    geodesic_deg: float
-    runtime_ms: float
-    config_hash: str = ""
-    gimbal_suspect: bool = False
-
-    def __post_init__(self):
-        for name in ("mae_r_deg", "mae_t", "ccd", "geodesic_deg", "runtime_ms"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-            object.__setattr__(self, name, value)
-
-    def csv_row(self) -> str:
-        # repr of a float is the shortest exact round trip, which keeps
-        # rewritten result files byte-identical.
-        return ",".join(
-            [
-                self.pair_id,
-                str(int(self.seed)),
-                repr(self.mae_r_deg),
-                repr(self.mae_t),
-                repr(self.ccd),
-                repr(self.geodesic_deg),
-                repr(self.runtime_ms),
-            ]
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "seed": int(self.seed),
-            "mae_r_deg": self.mae_r_deg,
-            "mae_t": self.mae_t,
-            "ccd": self.ccd,
-            "geodesic_deg": self.geodesic_deg,
-            "runtime_ms": self.runtime_ms,
-            "config_hash": self.config_hash,
-            "gimbal_suspect": bool(self.gimbal_suspect),
-        }
-
-
-def write_records(path, records) -> None:
-    lines = [CSV_HEADER]
-    lines.extend(record.csv_row() for record in records)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")

@@ -156,6 +156,18 @@ def match_components(
     )
 
 
+def _kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Proper rotation R maximizing trace(R h) for a 3x3 cross-moment h,
+    plus the singular values of h (for the caller's degeneracy checks).
+
+    The sign flip on the last singular direction rules out reflections.
+    Shared by the mixture solve below and ICP's row-matched solve.
+    """
+    u, s, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T, s
+
+
 def weighted_svd(
     means_p: np.ndarray, means_q: np.ndarray, weights: np.ndarray
 ) -> RigidTransform:
@@ -188,7 +200,7 @@ def weighted_svd(
     xp = mp - centroid_p
     xq = mq - centroid_q
     h = xp.T @ w @ xq
-    u, s, vt = np.linalg.svd(h)
+    rotation, s = _kabsch_rotation(h)
     # Two failure modes: the cross moments cancel entirely (h is float
     # noise relative to the data scale), or the weighted means are
     # collinear (rank <= 1). Either way the rotation is underdetermined.
@@ -197,8 +209,6 @@ def weighted_svd(
         raise DegenerateGeometryError(
             "weighted component means are collinear or cancel; rotation is underdetermined"
         )
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     translation = centroid_q - rotation @ centroid_p
     return RigidTransform(rotation, translation)
 

@@ -28,12 +28,17 @@ from .geometry import (
     DegenerateGeometryError,
     PointCloud,
     RigidTransform,
-    apply_transform,
-    compose,
     nearest_neighbors,
     transform_points,
 )
-from .mixture import WeightedGmm, estimate_gmm, gmm_l2_svd, match_components, weighted_svd
+from .mixture import (
+    WeightedGmm,
+    _kabsch_rotation,
+    estimate_gmm,
+    gmm_l2_svd,
+    match_components,
+    weighted_svd,
+)
 from .transport import TransportPlan
 
 OVERLAP_MODES = ("predicted", "ones")
@@ -73,7 +78,6 @@ class RegisterConfig:
     sinkhorn_tol: float = 1e-6
     overlap_mode: str = "predicted"
     solver: str = "transport"
-    refine: int = 0
     starts: int = 1
 
     def __post_init__(self):
@@ -85,8 +89,6 @@ class RegisterConfig:
             raise ValueError("d must be divisible by attention_heads")
         if self.n_geo_clusters < 1 or self.n_components < 1:
             raise ValueError("cluster counts must be positive")
-        if self.refine < 0:
-            raise ValueError("refine must be non-negative")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
 
@@ -248,11 +250,7 @@ def register(
     re-runs the pipeline with stepped clustering seeds and keeps the estimate
     with the lowest overlap-weighted nearest-neighbor residual; partitions
     are the one seed-sensitive stage, so a handful of restarts buys most of
-    the available robustness. refine > 0 then re-runs the winner on the
-    transformed source and composes the increments; because features and
-    clustering are motion-invariant the refined estimate agrees with the
-    single pass up to float noise, so the flag mainly guards against drift
-    in degraded inputs.
+    the available robustness.
     """
     start = time.perf_counter()
     best = None
@@ -273,48 +271,30 @@ def register(
             residuals.append(float("inf"))
             continue
         if config.starts == 1:
-            best = (0.0, i, attempt, variant)
+            best = (0.0, i, attempt)
             break
         residual = _alignment_residual(attempt, source, target)
         residuals.append(residual)
         if best is None or residual < best[0]:
-            best = (residual, i, attempt, variant)
+            best = (residual, i, attempt)
     if best is None:
         raise failure
-    _, chosen, result, chosen_config = best
-    total = result.transform
-    for _ in range(config.refine):
-        moved = apply_transform(total, source)
-        step = _register_once(moved, target, chosen_config, overlap_source, overlap_target)
-        total = compose(step.transform, total)
-        result = step
+    _, chosen, result = best
     elapsed = (time.perf_counter() - start) * 1000.0
     diagnostics = dict(result.diagnostics)
     diagnostics["runtime_ms"] = elapsed
-    diagnostics["refine_passes"] = int(config.refine)
     diagnostics["starts"] = int(config.starts)
     diagnostics["chosen_start"] = int(chosen)
     if config.starts > 1:
         diagnostics["start_residuals"] = [float(r) for r in residuals]
-    return RegistrationResult(
-        total,
-        result.overlap_source,
-        result.overlap_target,
-        result.gmm_source,
-        result.gmm_target,
-        result.plan,
-        diagnostics,
-    )
+    return replace(result, diagnostics=diagnostics)
 
 
 def _paired_kabsch(a: np.ndarray, b: np.ndarray) -> RigidTransform:
     """Least-squares rigid motion for row-matched point sets."""
     ca = a.mean(axis=0)
     cb = b.mean(axis=0)
-    h = (a - ca).T @ (b - cb)
-    u, s, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    rotation, _ = _kabsch_rotation((a - ca).T @ (b - cb))
     return RigidTransform(rotation, cb - rotation @ ca)
 
 

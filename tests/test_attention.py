@@ -10,9 +10,7 @@ from ogmm.attention import (
     clustered_self_attention,
     full_self_attention,
     instance_norm,
-    load_weights,
     overlap_scores,
-    save_weights,
 )
 
 
@@ -186,33 +184,6 @@ class TestWeightsPlumbing:
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             AttentionWeights.seeded(6, heads=4, seed=0)
-
-    def test_json_round_trip_exact(self, tmp_path):
-        w = AttentionWeights.seeded(8, heads=2, seed=11)
-        path = tmp_path / "attn.json"
-        save_weights(w, path)
-        back = load_weights(path)
-        np.testing.assert_array_equal(back.wq, w.wq)
-        np.testing.assert_array_equal(back.wk, w.wk)
-        np.testing.assert_array_equal(back.wv, w.wv)
-        np.testing.assert_array_equal(back.wo, w.wo)
-        np.testing.assert_array_equal(back.mlp.w2, w.mlp.w2)
-
-    def test_overlap_head_round_trip(self, tmp_path):
-        head = OverlapHead.seeded(8, seed=12, tau=0.25)
-        path = tmp_path / "head.json"
-        save_weights(head, path)
-        back = load_weights(path)
-        assert isinstance(back, OverlapHead)
-        np.testing.assert_array_equal(back.w_alpha, head.w_alpha)
-        np.testing.assert_array_equal(back.w_beta, head.w_beta)
-        assert back.tau == head.tau
-
-    def test_unknown_manifest_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"kind": "mystery"}')
-        with pytest.raises(ValueError, match="unknown weight manifest"):
-            load_weights(path)
 
 
 class TestOverlapScores:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ogmm
 from ogmm.cli import main
 from ogmm.geometry import PointCloud
 from ogmm.io import sample_shape, write_cloud
@@ -189,9 +192,13 @@ def test_module_entry_point(tmp_path):
     cloud = sample_shape("sphere", 48, seed=2)
     path = tmp_path / "cloud.xyz"
     write_cloud(cloud, path)
+    # The child must import the same ogmm as this session, installed or not.
+    package_root = str(Path(ogmm.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     proc = subprocess.run(
         [sys.executable, "-m", "ogmm.cli", "register", str(path), str(path), "--profile", "desk"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "rotation" in json.loads(proc.stdout)

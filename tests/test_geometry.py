@@ -13,7 +13,6 @@ from ogmm.geometry import (
     farthest_point_sample,
     invert,
     matrix_to_euler,
-    nearest_neighbor,
     nearest_neighbors,
     pairwise_distances,
     random_transform,
@@ -258,13 +257,11 @@ class TestNearestNeighbor:
                     best_j, best_d = j, d
             assert idx[qi] == best_j
             assert np.isclose(dist[qi], best_d, atol=1e-12)
-            sj, sd = nearest_neighbor(q, target)
-            assert sj == best_j and np.isclose(sd, best_d, atol=1e-12)
 
     def test_ties_resolve_to_lowest_index(self):
         target = PointCloud(np.array([[1.0, 0, 0], [0, 0, 0], [1.0, 0, 0]]))
-        idx, _ = nearest_neighbor(np.array([1.0, 0, 0]), target)
-        assert idx == 0
+        idx, _ = nearest_neighbors(np.array([[1.0, 0, 0]]), target)
+        assert idx[0] == 0
 
     def test_pairwise_distances_symmetric_zero_diagonal(self):
         pts = np.random.default_rng(2).normal(size=(15, 3))

@@ -1,27 +1,14 @@
 import numpy as np
 import pytest
 
-from ogmm.clustering import soft_assignment
-from ogmm.geometry import (
-    EulerAnglesDeg,
-    PointCloud,
-    RigidTransform,
-    apply_transform,
-    random_transform,
-)
-from ogmm.io import sample_shape
 from ogmm.losses import (
-    LossReport,
     binary_cross_entropy,
     binary_cross_entropy_derivative,
-    clustering_loss,
-    global_registration_loss,
     gradient_check,
     overlap_score_loss,
     welsch,
     welsch_derivative,
 )
-from ogmm.mixture import estimate_gmm
 
 
 class TestWelsch:
@@ -108,93 +95,6 @@ class TestOverlapScoreLoss:
         assert forward == swapped
 
 
-class TestGlobalRegistrationLoss:
-    def test_zero_when_estimate_is_truth(self):
-        source = sample_shape("composite", 64, seed=0)
-        gt = random_transform(3)
-        target = apply_transform(gt, source)
-        assert global_registration_loss(source, target, gt, gt, nu=0.1) <= 1e-20
-
-    def test_single_point_hand_value(self):
-        source = PointCloud([[0.0, 0.0, 0.0]])
-        target = PointCloud([[0.0, 0.0, 0.0]])
-        estimated = RigidTransform(np.eye(3), (0.1, 0.0, 0.0))
-        loss = global_registration_loss(source, target, estimated, RigidTransform.identity(), nu=0.1)
-        assert loss == pytest.approx(welsch(0.1, 0.1), abs=1e-15)
-
-    def test_truth_beats_perturbation(self):
-        source = sample_shape("composite", 128, seed=5)
-        gt = random_transform(8)
-        target = apply_transform(gt, source)
-        perturbed = RigidTransform(
-            gt.rotation @ RigidTransform.from_euler(EulerAnglesDeg(5.0, 0.0, 0.0)).rotation,
-            gt.translation,
-        )
-        at_truth = global_registration_loss(source, target, gt, gt)
-        off_truth = global_registration_loss(source, target, perturbed, gt)
-        assert at_truth < off_truth
-
-    def test_invariant_to_target_permutation(self):
-        source = sample_shape("sphere", 48, seed=1)
-        gt = random_transform(4)
-        target = apply_transform(gt, sample_shape("sphere", 80, seed=2))
-        estimated = random_transform(5)
-        base = global_registration_loss(source, target, estimated, gt)
-        perm = np.random.default_rng(0).permutation(len(target))
-        shuffled = PointCloud(target.points[perm])
-        assert global_registration_loss(source, shuffled, estimated, gt) == pytest.approx(base, abs=1e-12)
-
-
-class TestClusteringLoss:
-    def test_single_component_is_zero(self):
-        cloud = sample_shape("sphere", 20, seed=0)
-        soft = soft_assignment(cloud.points, 1, seed=0)
-        gmm = estimate_gmm(cloud, soft, np.ones(20))
-        gamma = np.ones((20, 1))
-        assert clustering_loss(cloud, gamma, gmm) == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_point_hand_value(self):
-        cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        soft = soft_assignment(cloud.points, 2, seed=0)
-        gmm = estimate_gmm(cloud, soft, np.ones(2))
-        # Build the expected value from scratch for the actual means.
-        gamma = np.eye(2)[np.argmax(soft.scores, axis=1)]
-        dists = np.array(
-            [[np.linalg.norm(p - m) for m in gmm.means] for p in cloud.points]
-        )
-        expected = 0.0
-        for i in range(2):
-            logits = -dists[i]
-            log_softmax = logits - np.log(np.sum(np.exp(logits)))
-            expected -= float(gamma[i] @ log_softmax)
-        assert clustering_loss(cloud, gamma, gmm) == pytest.approx(expected, abs=1e-12)
-
-    def test_point_on_isolated_mean_contributes_nothing(self):
-        points = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        cloud = PointCloud(points)
-        soft = soft_assignment(points, 2, seed=0)
-        gmm = estimate_gmm(cloud, soft, np.ones(2))
-        gamma = np.eye(2)[np.argmax(soft.scores, axis=1)]
-        assert clustering_loss(cloud, gamma, gmm) <= 1e-12
-
-    def test_rejects_bad_gamma(self):
-        cloud = sample_shape("sphere", 10, seed=3)
-        soft = soft_assignment(cloud.points, 2, seed=0)
-        gmm = estimate_gmm(cloud, soft, np.ones(10))
-        with pytest.raises(ValueError, match="shape"):
-            clustering_loss(cloud, np.ones((10, 3)), gmm)
-        with pytest.raises(ValueError, match="sum to one"):
-            clustering_loss(cloud, np.full((10, 2), 0.7), gmm)
-
-    def test_nonnegative_on_random_instances(self):
-        for seed in range(5):
-            cloud = sample_shape("composite", 40, seed=seed)
-            soft = soft_assignment(cloud.points, 4, seed=seed)
-            gmm = estimate_gmm(cloud, soft, np.ones(40))
-            gamma = np.eye(4)[np.argmax(soft.scores, axis=1)]
-            assert clustering_loss(cloud, gamma, gmm) >= 0.0
-
-
 class TestGradientCheck:
     def test_constant_function(self):
         err = gradient_check(lambda v: 3.5, np.zeros(3), np.zeros(3))
@@ -211,25 +111,3 @@ class TestGradientCheck:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             gradient_check(lambda v: 0.0, [1.0, 2.0], [0.0])
-
-
-class TestLossReport:
-    def test_total_is_weighted_sum(self):
-        report = LossReport(0.5, 2.0, 1.0, weights=(1.0, 0.5, 2.0))
-        assert report.total == pytest.approx(0.5 + 1.0 + 2.0)
-
-    def test_unit_weights_default(self):
-        report = LossReport(0.1, 0.2, 0.3)
-        assert report.total == pytest.approx(0.6)
-
-    def test_rejects_negative_parts(self):
-        with pytest.raises(ValueError):
-            LossReport(-0.1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            LossReport(0.1, 0.0, 0.0, weights=(1.0, -1.0, 1.0))
-
-    def test_json_round_trip(self):
-        report = LossReport(0.5, 2.0, 1.0, weights=(1.0, 0.5, 2.0))
-        payload = report.to_json_dict()
-        assert payload["total"] == report.total
-        assert payload["weights"] == [1.0, 0.5, 2.0]

@@ -9,14 +9,11 @@ from ogmm.geometry import (
     random_transform,
 )
 from ogmm.metrics import (
-    CSV_HEADER,
-    EvalRecord,
     ccd,
     geodesic_rotation_deg,
     mae_rotation,
     mae_translation,
     near_gimbal_lock,
-    write_records,
 )
 
 
@@ -114,49 +111,7 @@ class TestCcd:
         assert ccd(a, b) == ccd(b, a)
         assert ccd(a, b) <= 0.1
 
-    def test_discard_variant(self):
-        a = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        b = PointCloud([[0.02, 0.0, 0.0], [9.0, 0.0, 0.0]])
-        # forward keeps only the 0.02 match; backward keeps only its mirror.
-        assert ccd(a, b, discard=True) == pytest.approx(0.02, abs=1e-12)
-        far = PointCloud([[50.0, 0.0, 0.0]])
-        assert ccd(a, far, discard=True) == 0.0
-
     def test_rejects_bad_clip(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             ccd(cloud, cloud, clip=0.0)
-
-
-class TestEvalRecord:
-    def test_rejects_negative_or_nonfinite(self):
-        with pytest.raises(ValueError):
-            EvalRecord("p0", 1, -0.1, 0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            EvalRecord("p0", 1, np.nan, 0.0, 0.0, 0.0, 1.0)
-
-    def test_csv_round_trip(self, tmp_path):
-        records = [
-            EvalRecord("c000t000", 42, 10.0 / 3.0, 0.1, 0.05, 3.7, 12.5),
-            EvalRecord("c000t001", 43, 0.0, 0.0, 0.0, 0.0, 8.25),
-        ]
-        path = tmp_path / "records.csv"
-        write_records(path, records)
-        lines = path.read_text().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert lines[0] == "pair_id,seed,mae_r_deg,mae_t,ccd,geodesic_deg,runtime_ms"
-        fields = lines[1].split(",")
-        assert fields[0] == "c000t000"
-        assert float(fields[2]) == 10.0 / 3.0
-        assert fields[2] == repr(10.0 / 3.0)
-        assert len(lines) == 3
-
-    def test_json_dict_keys(self):
-        record = EvalRecord("p", 0, 1.0, 0.1, 0.01, 1.2, 3.0, config_hash="abc", gimbal_suspect=True)
-        payload = record.to_json_dict()
-        assert payload["config_hash"] == "abc"
-        assert payload["gimbal_suspect"] is True
-        assert set(payload) == {
-            "pair_id", "seed", "mae_r_deg", "mae_t", "ccd",
-            "geodesic_deg", "runtime_ms", "config_hash", "gimbal_suspect",
-        }
