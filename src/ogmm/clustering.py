@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -35,7 +36,10 @@ class ClusterAssignment:
     gamma is the N x J one-hot membership matrix; centroids are the final
     group means; sizes the per-group counts. objective is the summed squared
     distance of each item to its centroid at the last accepted iteration,
-    and history the accepted objective sequence (non-increasing).
+    and history the accepted objective sequence (non-increasing). The
+    sinkhorn_* fields count the assignment steps' transport solves: calls,
+    their summed iterations, and the calls that ended at the iteration
+    budget unconverged.
     """
 
     gamma: np.ndarray
@@ -44,6 +48,9 @@ class ClusterAssignment:
     objective: float
     n_iter: int
     history: tuple
+    sinkhorn_calls: int = 0
+    sinkhorn_iterations: int = 0
+    sinkhorn_unconverged: int = 0
 
     def __post_init__(self):
         g = np.asarray(self.gamma)
@@ -86,29 +93,45 @@ def _round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
     the number of unassigned points equals the total shortfall below
     floor(N/J), only deficit clusters may receive points. Every size then
     lands in {floor(N/J), ceil(N/J)}.
+
+    The greedy runs in phases rather than entry by entry. A cluster closed
+    to new points never reopens, so within a phase every unassigned point's
+    first visited entry is its largest entry over the open clusters (lowest
+    cluster on ties), and the points are accepted in the greedy's order of
+    those entries until the first one whose cluster the greedy would refuse.
+    That point starts the next phase. Each refusal means a cluster filled,
+    reached floor(N/J) under the deficit rule, or the rule began to bind, so
+    at most 2J + 2 phases run.
     """
     cap = math.ceil(n / j)
     floor = n // j
-    order = np.argsort(-plan.ravel(), kind="stable")
     labels = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(j, dtype=np.int64)
     deficit = floor * j
-    unassigned = n
-    for flat in order:
-        if unassigned == 0:
-            break
-        i, l = divmod(int(flat), j)
-        if labels[i] != -1 or sizes[l] >= cap:
-            continue
-        needy = sizes[l] < floor
-        if unassigned == deficit and not needy:
-            continue
-        labels[i] = l
-        sizes[l] += 1
-        unassigned -= 1
-        if needy:
-            deficit -= 1
-    assert unassigned == 0, "rounding failed to place every point"
+    rows = np.arange(n)
+    while rows.size:
+        open_ = sizes < (floor if rows.size == deficit else cap)
+        masked = np.where(open_, plan[rows], -np.inf)
+        choice = np.argmax(masked, axis=1)
+        value = masked[np.arange(rows.size), choice]
+        order = np.lexsort((rows, -value))
+        rows, choice = rows[order], choice[order]
+        # Size of each point's cluster just before the point is placed, if
+        # every point ahead of it in this phase is placed.
+        by_cluster = np.argsort(choice, kind="stable")
+        grouped = choice[by_cluster]
+        rank = np.empty(rows.size, dtype=np.int64)
+        rank[by_cluster] = np.arange(rows.size) - np.searchsorted(grouped, grouped)
+        size_before = sizes[choice] + rank
+        needy = size_before < floor
+        deficit_before = deficit - np.concatenate(([0], np.cumsum(needy)[:-1]))
+        unassigned_before = rows.size - np.arange(rows.size)
+        refused = (size_before >= cap) | ((unassigned_before == deficit_before) & ~needy)
+        stop = int(np.argmax(refused)) if refused.any() else rows.size
+        labels[rows[:stop]] = choice[:stop]
+        sizes += np.bincount(choice[:stop], minlength=j)
+        deficit -= int(needy[:stop].sum())
+        rows = rows[stop:]
     return labels
 
 
@@ -134,6 +157,7 @@ def _kmeans_balanced(
     prev_obj = np.inf
     history = []
     n_iter = 0
+    calls = iterations = unconverged = 0
     for n_iter in range(1, max_iter + 1):
         cost = cdist(x, centroids, "sqeuclidean")
         epsilon = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
@@ -141,6 +165,9 @@ def _kmeans_balanced(
             cost, row_mass, col_mass,
             epsilon=epsilon, max_iter=SINKHORN_MAX_ITER, tol=SINKHORN_TOL,
         )
+        calls += 1
+        iterations += plan.iterations
+        unconverged += not plan.converged
         labels = _round_balanced(plan.matrix, n, j)
         gamma = np.zeros((n, j))
         gamma[np.arange(n), labels] = 1.0
@@ -163,7 +190,12 @@ def _kmeans_balanced(
     gamma = np.zeros((n, j), dtype=np.uint8)
     gamma[np.arange(n), labels] = 1
     sizes = gamma.sum(axis=0).astype(np.int64)
-    return ClusterAssignment(gamma, centroids, sizes, obj, n_iter, tuple(history))
+    return ClusterAssignment(
+        gamma, centroids, sizes, obj, n_iter, tuple(history),
+        sinkhorn_calls=calls,
+        sinkhorn_iterations=iterations,
+        sinkhorn_unconverged=unconverged,
+    )
 
 
 def wasserstein_kmeans(
@@ -184,11 +216,15 @@ def wasserstein_kmeans(
 
 @dataclass(frozen=True)
 class SoftAssignment:
-    """Row-stochastic soft membership of N items over L components."""
+    """Row-stochastic soft membership of N items over L components.
+
+    kmeans is the balanced clustering that placed the centroids.
+    """
 
     scores: np.ndarray
     centroids: np.ndarray
     temperature: float
+    kmeans: Optional[ClusterAssignment] = None
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
@@ -228,4 +264,4 @@ def soft_assignment(
         raise ValueError("temperature must be positive")
     assignment = _kmeans_balanced(f, n_components, seed)
     scores = _softmax_rows(-cdist(f, assignment.centroids, "sqeuclidean") / temperature)
-    return SoftAssignment(scores, assignment.centroids, temperature)
+    return SoftAssignment(scores, assignment.centroids, temperature, kmeans=assignment)

@@ -72,8 +72,13 @@ class RegisterConfig:
     kmeans_max_iter: int = 50
     kmeans_tol: float = 1e-6
     sinkhorn_epsilon: float = 0.01
-    # Predicted-overlap cost matrices need ~2k iterations at desk scale;
-    # the budget is per-component-pair and cheap, so leave headroom.
+    # Component matching at this absolute epsilon mostly does not converge
+    # within the budget: on 24 partial-overlap desk pairs (3 starts each),
+    # 64 of 72 solves ended unconverged at 5000 iterations. Given 400k
+    # iterations, 71 converged after 31k on average (median 15k, most
+    # 291k) and one still had not. The returned plan is used either way
+    # (`sinkhorn_converged` in the diagnostics says which); ROADMAP item 2
+    # tracks the fix.
     sinkhorn_max_iter: int = 5000
     sinkhorn_tol: float = 1e-6
     overlap_mode: str = "predicted"
@@ -217,6 +222,11 @@ def _register_once(
         "component_argmax_source": np.argmax(soft_p.scores, axis=1).tolist(),
         "component_argmax_target": np.argmax(soft_q.scores, axis=1).tolist(),
     }
+    # The four balanced k-means runs: geometric and soft, both clouds.
+    kmeans_runs = (geo_p, geo_q, soft_p.kmeans, soft_q.kmeans)
+    diagnostics["kmeans_sinkhorn_calls"] = sum(r.sinkhorn_calls for r in kmeans_runs)
+    diagnostics["kmeans_sinkhorn_iterations"] = sum(r.sinkhorn_iterations for r in kmeans_runs)
+    diagnostics["kmeans_sinkhorn_unconverged"] = sum(r.sinkhorn_unconverged for r in kmeans_runs)
     if plan is not None:
         diagnostics["sinkhorn_iterations"] = int(plan.iterations)
         diagnostics["sinkhorn_converged"] = bool(plan.converged)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import ogmm.clustering
 from ogmm.clustering import (
     ClusterAssignment,
     SoftAssignment,
@@ -15,6 +18,85 @@ from ogmm.io import sample_shape
 def row_entropy(scores):
     p = np.clip(scores, 1e-300, None)
     return -(p * np.log(p)).sum(axis=1)
+
+
+def reference_round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
+    """The entry-by-entry greedy `_round_balanced` replaced, kept verbatim
+    as the oracle its labels must match."""
+    cap = math.ceil(n / j)
+    floor = n // j
+    order = np.argsort(-plan.ravel(), kind="stable")
+    labels = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(j, dtype=np.int64)
+    deficit = floor * j
+    unassigned = n
+    for flat in order:
+        if unassigned == 0:
+            break
+        i, l = divmod(int(flat), j)
+        if labels[i] != -1 or sizes[l] >= cap:
+            continue
+        needy = sizes[l] < floor
+        if unassigned == deficit and not needy:
+            continue
+        labels[i] = l
+        sizes[l] += 1
+        unassigned -= 1
+        if needy:
+            deficit -= 1
+    assert unassigned == 0, "rounding failed to place every point"
+    return labels
+
+
+def assert_rounds_like_reference(plan, n, j):
+    labels = _round_balanced(plan, n, j)
+    np.testing.assert_array_equal(labels, reference_round_balanced(plan, n, j))
+    sizes = np.bincount(labels, minlength=j)
+    assert set(sizes.tolist()) <= {n // j, -(-n // j)}
+    return sizes
+
+
+class TestRoundBalancedMatchesGreedy:
+    def test_random_plans(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            j = int(rng.integers(1, 17))
+            n = int(rng.integers(j, 600))
+            plan = rng.uniform(size=(n, j)) ** float(rng.uniform(0.5, 8.0))
+            assert_rounds_like_reference(plan, n, j)
+
+    def test_sinkhorn_like_plans(self):
+        # Sharp, nearly balanced plans, as the k-means assignment step makes.
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            j = int(rng.integers(2, 17))
+            n = int(rng.integers(j, 513))
+            logits = -rng.uniform(0, 60, size=(n, j))
+            plan = np.exp(logits - logits.max(axis=1, keepdims=True))
+            plan /= plan.sum(axis=0) * j
+            assert_rounds_like_reference(plan, n, j)
+
+    def test_exact_ties(self):
+        rng = np.random.default_rng(22)
+        for n, j in ((6, 2), (7, 3), (64, 16), (100, 7), (512, 16)):
+            assert_rounds_like_reference(np.full((n, j), 0.5), n, j)
+            rows = rng.uniform(size=(3, j))
+            duplicated = rows[rng.integers(0, 3, size=n)]
+            assert_rounds_like_reference(duplicated, n, j)
+            coarse = rng.integers(0, 3, size=(n, j)).astype(float)
+            assert_rounds_like_reference(coarse, n, j)
+
+    def test_deficit_rule_binds_when_n_is_not_divisible(self):
+        # Every point ranks the clusters in the same order, so clusters fill
+        # one after another. Without the deficit rule the first n % j + 1
+        # clusters would all fill to ceil(N/J) and the last one would fall
+        # short; with it, only the first n % j do.
+        rng = np.random.default_rng(23)
+        for n, j in ((7, 3), (10, 3), (50, 8), (511, 16), (200, 9)):
+            plan = rng.uniform(0.5, 1.0, size=(n, j)) * 10.0 ** -np.arange(j)
+            sizes = assert_rounds_like_reference(plan, n, j)
+            extra = n % j
+            assert sizes.tolist() == [n // j + 1] * extra + [n // j] * (j - extra)
 
 
 class TestRoundBalanced:
@@ -205,3 +287,74 @@ class TestSoftAssignment:
     def test_type_validates_row_sums(self):
         with pytest.raises(ValueError, match="sum to one"):
             SoftAssignment(np.array([[0.5, 0.4]]), np.zeros((2, 2)), 0.1)
+
+
+class TestKmeansSinkhornCounters:
+    """The k-means runs count their transport solves; the counts must match
+    what the solver itself returned."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        seen = []
+        real = ogmm.clustering.sinkhorn
+
+        def counting(*args, **kwargs):
+            plan = real(*args, **kwargs)
+            seen.append((plan.iterations, plan.converged))
+            return plan
+
+        monkeypatch.setattr(ogmm.clustering, "sinkhorn", counting)
+        return seen
+
+    @staticmethod
+    def _totals(seen):
+        return (
+            len(seen),
+            sum(iterations for iterations, _ in seen),
+            sum(not converged for _, converged in seen),
+        )
+
+    def test_kmeans_counts_its_solves(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        cloud = sample_shape("composite", 300, seed=4)
+        result = wasserstein_kmeans(cloud, 12, seed=0)
+        counts = (result.sinkhorn_calls, result.sinkhorn_iterations, result.sinkhorn_unconverged)
+        assert counts == self._totals(seen)
+        assert result.sinkhorn_calls >= result.n_iter >= 1
+
+    def test_soft_assignment_carries_its_kmeans(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        feats = np.random.default_rng(24).normal(size=(120, 8))
+        soft = soft_assignment(feats, 6, seed=1)
+        run = soft.kmeans
+        assert (run.sinkhorn_calls, run.sinkhorn_iterations, run.sinkhorn_unconverged) == (
+            self._totals(seen)
+        )
+        np.testing.assert_array_equal(run.centroids, soft.centroids)
+
+    @pytest.mark.parametrize("starts", [1, 3])
+    def test_register_sums_the_chosen_starts_four_runs(self, monkeypatch, starts):
+        from ogmm import registration
+        from ogmm.io import PairSpec, make_pair
+
+        seen = self._watch(monkeypatch)
+        first_call = []
+        real_once = registration._register_once
+
+        def once(*args, **kwargs):
+            first_call.append(len(seen))
+            return real_once(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "_register_once", once)
+        pair = make_pair(PairSpec(n_points=160, overlap_keep_fraction=0.7, seed=3))
+        config = registration.RegisterConfig.desk(starts=starts)
+        diagnostics = registration.register(pair.source, pair.target, config).diagnostics
+        bounds = first_call + [len(seen)]
+        chosen = diagnostics["chosen_start"]
+        expected = self._totals(seen[bounds[chosen]:bounds[chosen + 1]])
+        assert (
+            diagnostics["kmeans_sinkhorn_calls"],
+            diagnostics["kmeans_sinkhorn_iterations"],
+            diagnostics["kmeans_sinkhorn_unconverged"],
+        ) == expected
+        assert expected[0] >= 4

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ogmm.transport import TransportPlan, sinkhorn
+import ogmm.clustering
+import ogmm.mixture
+from ogmm import transport
+from ogmm.transport import SCALING_RANGE_MAX, TransportPlan, sinkhorn
 
 
 def lp_transport(cost, mu, nu):
@@ -119,9 +122,36 @@ class TestSinkhornAgainstExactSolvers:
             assert tv < 1e-3
 
 
+def _pin_loop(monkeypatch, scaling: bool):
+    """Run `sinkhorn` through one loop: the log loop by refusing the scaling
+    start, the scaling loop by checking at teardown that every call took it."""
+    real = transport._scaling_start
+    taken = []
+
+    def start(z, mu, nu):
+        got = real(z, mu, nu) if scaling else None
+        taken.append(got is not None)
+        return got
+
+    monkeypatch.setattr(transport, "_scaling_start", start)
+    yield
+    assert taken and taken == [scaling] * len(taken)
+
+
+@pytest.fixture
+def scaling_loop(monkeypatch):
+    yield from _pin_loop(monkeypatch, scaling=True)
+
+
+@pytest.fixture
+def log_loop(monkeypatch):
+    yield from _pin_loop(monkeypatch, scaling=False)
+
+
 class TestMarginalError:
     """The reported error is folded into the iterations, never read off the
-    returned plan; it must still equal the plan's own L1 violation."""
+    returned plan; it must still equal the plan's own L1 violation, on
+    either loop."""
 
     @staticmethod
     def _violation(plan, mu, nu):
@@ -129,7 +159,7 @@ class TestMarginalError:
         cols = np.abs(plan.matrix.sum(axis=0) - nu).sum()
         return rows + cols
 
-    def test_converged_solve(self):
+    def _converged_solve(self):
         rng = np.random.default_rng(7)
         cost = rng.uniform(0, 1, size=(40, 6))
         mu = rng.uniform(0.1, 1.0, size=40)
@@ -140,7 +170,7 @@ class TestMarginalError:
         assert plan.marginal_error <= 1e-9
         assert abs(plan.marginal_error - self._violation(plan, mu, nu)) <= 1e-12
 
-    def test_budget_exhausted_solve(self):
+    def _budget_exhausted_solve(self):
         cost = np.random.default_rng(8).uniform(0, 1, size=(6, 9))
         mu = np.full(6, 1 / 6)
         nu = np.full(9, 1 / 9)
@@ -148,6 +178,18 @@ class TestMarginalError:
         assert not plan.converged
         assert plan.marginal_error > 1e-3
         assert abs(plan.marginal_error - self._violation(plan, mu, nu)) <= 1e-12
+
+    def test_converged_solve(self, scaling_loop):
+        self._converged_solve()
+
+    def test_converged_solve_log_loop(self, log_loop):
+        self._converged_solve()
+
+    def test_budget_exhausted_solve(self, scaling_loop):
+        self._budget_exhausted_solve()
+
+    def test_budget_exhausted_solve_log_loop(self, log_loop):
+        self._budget_exhausted_solve()
 
     @pytest.mark.parametrize("max_iter", [2, 5000])
     def test_zero_mass_row_and_column_atoms(self, max_iter):
@@ -204,3 +246,110 @@ class TestSinkhornEdges:
         plan = sinkhorn(cost, mu, nu, tol=1e-8, max_iter=5000)
         assert plan.matrix.shape == (5, 3)
         assert plan.converged
+
+
+def _dynamic_range(z, mu, nu):
+    """The quantity `sinkhorn` bounds by SCALING_RANGE_MAX, computed apart."""
+    shifted = z - z.min(axis=1, keepdims=True)
+    shifted = shifted - shifted.min(axis=0)
+    n, m = z.shape
+    return (
+        shifted.max()
+        + np.log(mu.max() / mu.min())
+        + np.log(nu.max() / nu.min())
+        + np.log(n * m)
+    )
+
+
+def _problem(rng, n, m, uniform, spread):
+    """cost/epsilon and probability marginals whose dynamic range is spread."""
+    cost = rng.uniform(0, 1, size=(n, m)) ** 2
+    if uniform:
+        mu, nu = np.full(n, 1 / n), np.full(m, 1 / m)
+    else:
+        mu, nu = rng.uniform(0.2, 1.0, size=n), rng.uniform(0.2, 1.0, size=m)
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+    fixed = _dynamic_range(np.zeros((n, m)), mu, nu)
+    shifted = cost - cost.min(axis=1, keepdims=True)
+    shifted = shifted - shifted.min(axis=0)
+    return cost * (spread - fixed) / shifted.max(), mu, nu
+
+
+def _assert_same_solve(z, mu, nu, max_iter, tol):
+    start = transport._scaling_start(z, mu, nu)
+    assert start is not None
+    scaled = transport._scaling_loop(*start, mu, nu, max_iter, tol)
+    logged = transport._log_loop(z, mu, nu, max_iter, tol)
+    assert scaled[1:3] == logged[1:3]  # converged, iterations
+    # The error is a sum of small differences, each carrying the plan's
+    # rounding (about 1e-12 of the unit mass at most).
+    assert scaled[3] == pytest.approx(logged[3], rel=1e-6, abs=1e-12)
+    np.testing.assert_allclose(scaled[0], logged[0], rtol=1e-12, atol=1e-12 * logged[0].max())
+    return scaled
+
+
+class TestSolverPaths:
+    """The scaling loop and the log loop compute the same iterates wherever
+    the scaling loop is allowed to run."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_agree_inside_the_bound(self, uniform):
+        rng = np.random.default_rng(11 + uniform)
+        converged = 0
+        for trial in range(24):
+            n = int(rng.integers(2, 513))
+            m = int(rng.integers(2, 17))
+            spread = SCALING_RANGE_MAX * (0.999 if trial % 4 == 0 else rng.uniform(0.05, 0.999))
+            z, mu, nu = _problem(rng, n, m, uniform, spread)
+            assert _dynamic_range(z, mu, nu) == pytest.approx(spread)
+            converged += _assert_same_solve(z, mu, nu, max_iter=300, tol=1e-9)[1]
+        assert 0 < converged < 24  # both converged and budget-bound solves
+
+    def test_agree_at_the_largest_shape(self):
+        z, mu, nu = _problem(np.random.default_rng(13), 512, 16, False, 0.999 * SCALING_RANGE_MAX)
+        _assert_same_solve(z, mu, nu, max_iter=200, tol=1e-4)
+
+    def test_agree_when_a_starting_scaling_underflows(self):
+        # A column 800 kernel units beyond every row: its starting scaling
+        # exp(-800) is 0.0, yet the first row update must not notice.
+        z, mu, nu = _problem(np.random.default_rng(14), 300, 12, False, 60.0)
+        z[:, 3] += 800.0
+        assert transport._scaling_start(z, mu, nu)[1][3] == 0.0
+        assert _assert_same_solve(z, mu, nu, max_iter=1000, tol=1e-10)[1]
+
+    def test_just_past_the_bound_takes_the_log_loop(self):
+        rng = np.random.default_rng(15)
+        z, mu, nu = _problem(rng, 200, 8, True, 1.001 * SCALING_RANGE_MAX)
+        assert transport._scaling_start(z, mu, nu) is None
+        plan = sinkhorn(z, mu, nu, epsilon=1.0, max_iter=300, tol=1e-9)
+        logged = transport._log_loop(z, mu, nu, 300, 1e-9)
+        assert (plan.converged, plan.iterations) == logged[1:3]
+        np.testing.assert_allclose(plan.matrix, logged[0], rtol=1e-12, atol=0)
+        assert np.all(np.isfinite(plan.matrix))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_zero_mass_atom_takes_the_log_loop(self, axis):
+        rng = np.random.default_rng(16)
+        z, mu, nu = _problem(rng, 50, 6, True, 20.0)
+        mu, nu = mu.copy(), nu.copy()
+        if axis == 0:
+            mu[[3, 17]] = 0.0
+            mu /= mu.sum()
+        else:
+            nu[2] = 0.0
+            nu /= nu.sum()
+        assert transport._scaling_start(z, mu, nu) is None
+        plan = sinkhorn(z, mu, nu, epsilon=1.0, max_iter=500, tol=1e-9)
+        assert plan.converged
+        assert np.all(np.isfinite(plan.matrix))
+        np.testing.assert_array_equal(plan.matrix[mu == 0], 0.0)
+        np.testing.assert_array_equal(plan.matrix[:, nu == 0], 0.0)
+
+
+def test_call_sites_bind_the_public_solver():
+    """Both Sinkhorn call sites go through `sinkhorn` itself. The benchmark's
+    traced run wraps these two module attributes to count the k-means and
+    matching solves; a call site that reached a private loop directly would
+    drop out of those counts without an error."""
+    assert ogmm.clustering.sinkhorn is transport.sinkhorn
+    assert ogmm.mixture.sinkhorn is transport.sinkhorn
