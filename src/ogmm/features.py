@@ -83,15 +83,24 @@ def _mlp_seeds(mlp_seed: int) -> np.ndarray:
 def _knn_indices(points: np.ndarray, k: int):
     """Ascending k-nearest-neighbor indices and distances, self excluded.
 
-    Stable argsort keeps exact distance ties in index order, which makes the
-    neighborhood graph deterministic.
+    Exact distance ties resolve in index order, as a stable argsort of each
+    row would, which makes the neighborhood graph deterministic.
     """
     n = points.shape[0]
     if k >= n:
         raise ValueError(f"k_neighbors must be below the point count, got k={k}, N={n}")
     dist = pairwise_distances(points, points)
     np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    # Each row's k+1 smallest distances, sorted by (distance, index). They
+    # are the stable argsort's first k+1 unless more entries tie with the
+    # largest of them; such rows take the full stable argsort.
+    order = np.argpartition(dist, k, axis=1)[:, : k + 1]
+    order_dist = np.take_along_axis(dist, order, axis=1)
+    order = np.take_along_axis(order, np.lexsort((order, order_dist), axis=1), axis=1)
+    tied = np.flatnonzero((dist <= order_dist.max(axis=1, keepdims=True)).sum(axis=1) > k + 1)
+    if tied.size:
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, : k + 1]
+    order = order[:, :k]
     return order, np.take_along_axis(dist, order, axis=1)
 
 

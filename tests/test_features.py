@@ -4,11 +4,12 @@ import pytest
 from ogmm.features import (
     FeatureConfig,
     SeededMlp,
+    _knn_indices,
     encode,
     local_descriptor,
     spherical_positional_encoding,
 )
-from ogmm.geometry import PointCloud, apply_transform, random_transform
+from ogmm.geometry import PointCloud, apply_transform, pairwise_distances, random_transform
 from ogmm.io import sample_shape
 
 
@@ -88,6 +89,42 @@ def descriptor_stats_oracle(points, k):
         stats[i, k + 3] = np.linalg.norm(points[i] - cloud_mean)
         stats[i, k + 4] = scale / (scale + all_knn[i].mean())
     return (stats - stats.mean(axis=0)) / np.maximum(stats.std(axis=0), 1e-9)
+
+
+def knn_oracle(points, k):
+    """Full stable argsort of every row of the distance matrix."""
+    dist = pairwise_distances(points, points)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+class TestKnnIndices:
+    """The partial selection must return the stable argsort's neighbors, bit
+    for bit, ties included."""
+
+    @pytest.mark.parametrize("k", [5, 16])
+    def test_random_clouds(self, k):
+        rng = np.random.default_rng(k)
+        for n in (k + 1, 40, 300):
+            points = rng.normal(size=(n, 3))
+            got = _knn_indices(points, k)
+            expected = knn_oracle(points, k)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("k", [5, 16])
+    def test_lattice_with_exact_ties(self, k):
+        # On an integer lattice every interior point has 6 neighbors at
+        # distance 1, 12 at sqrt 2 and 8 at sqrt 3, so both k = 5 and k = 16
+        # cut through a tied shell; the shuffle keeps index order from
+        # following the geometry.
+        grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1)
+        points = grid.reshape(-1, 3)[np.random.default_rng(1).permutation(512)]
+        got = _knn_indices(points, k)
+        expected = knn_oracle(points, k)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
 
 
 class TestLocalDescriptor:

@@ -132,6 +132,37 @@ class TestRegister:
         assert result.diagnostics["solver"] == "l2"
         assert euler_mae_deg(result.transform, RigidTransform.identity()) <= 1e-6
 
+    def test_every_start_reports_its_matching_solve(self, monkeypatch):
+        import ogmm.mixture
+
+        real = ogmm.mixture.sinkhorn
+        solves = []
+
+        def sinkhorn(*args, **kwargs):
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(ogmm.mixture, "sinkhorn", sinkhorn)
+        pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=9))
+        diagnostics = register(pair.source, pair.target, DESK).diagnostics
+        assert len(solves) == DESK.starts
+        assert diagnostics["start_sinkhorn_iterations"] == [p.iterations for p in solves]
+        assert diagnostics["start_sinkhorn_converged"] == [p.converged for p in solves]
+        chosen = diagnostics["chosen_start"]
+        assert diagnostics["sinkhorn_iterations"] == solves[chosen].iterations
+        assert diagnostics["sinkhorn_converged"] == solves[chosen].converged
+
+        single = register(pair.source, pair.target, RegisterConfig.desk(starts=1)).diagnostics
+        assert "start_sinkhorn_iterations" not in single
+        assert "start_sinkhorn_converged" not in single
+
+    def test_starts_without_a_matching_solve_report_none(self):
+        cloud = sample_shape("composite", 96, seed=4)
+        config = RegisterConfig.desk(solver="l2", starts=2)
+        diagnostics = register(cloud, cloud, config).diagnostics
+        assert diagnostics["start_sinkhorn_iterations"] == [None, None]
+        assert diagnostics["start_sinkhorn_converged"] == [None, None]
+
     def test_diagnostics_and_json_shape(self):
         pair = make_pair(PairSpec(n_points=128, seed=9))
         result = register(pair.source, pair.target, DESK)

@@ -122,9 +122,79 @@ class TestSinkhornAgainstExactSolvers:
             assert tv < 1e-3
 
 
+def reference_log_loop(z: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, tol: float):
+    """The log-domain loop `_absorbing_loop` replaced, kept verbatim as the
+    oracle its iterates must match.
+
+    Sinkhorn on the scaled dual potentials, for any z = cost/epsilon.
+
+    Returns (plan, converged, iterations, marginal_error) for unit mass.
+    The plan is a transposed view of an (m, n) array.
+    """
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
+        log_nu = np.log(nu)
+    n, m = z.shape
+    # The kernel is held transposed, as a contiguous (m, n) array: in the
+    # usual tall case (many points, few clusters or components) the row
+    # log-sum-exp then reduces elementwise over m rows of length n, and the
+    # column log-sum-exp along those long rows, instead of both reducing
+    # across a short inner axis. Both log-sum-exps are written out and work
+    # in place on one scratch buffer, since at desk sizes this loop runs
+    # tens of thousands of times per registration. The max shift keeps exp
+    # finite.
+    kernel = np.ascontiguousarray((-z).T)
+    scratch = np.empty_like(kernel)
+
+    def row_lse(v: np.ndarray) -> np.ndarray:
+        """L(v)_i = log sum_j exp(kernel[j, i] + v[j]), one entry per row atom."""
+        np.add(kernel, v[:, None], out=scratch)
+        shift = scratch.max(axis=0)
+        np.subtract(scratch, shift, out=scratch)
+        np.exp(scratch, out=scratch)
+        s = scratch.sum(axis=0)
+        np.log(s, out=s)
+        s += shift
+        return s
+
+    # Scaled dual potentials f/eps (u, per row atom) and g/eps (v, per
+    # column atom). Zero-mass atoms get -inf potentials through log(0),
+    # which zeroes their row/column of the plan exactly; every shift stays
+    # finite because each marginal carries mass somewhere.
+    v = np.zeros(m)
+    lse = row_lse(v)
+    converged = False
+    iterations = 0
+    err = np.inf
+    for iterations in range(1, max_iter + 1):
+        u = log_mu - lse
+
+        np.add(kernel, u[None, :], out=scratch)
+        shift = scratch.max(axis=1, keepdims=True)
+        scratch -= shift
+        np.exp(scratch, out=scratch)
+        s = scratch.sum(axis=1)
+        np.log(s, out=s)
+        s += shift[:, 0]
+        v = log_nu - s
+
+        # The plan (u, v) meets the column marginal up to rounding, and its
+        # row sums are exp(u + L(v)) = mu * exp(L(v) - L(v_prev)).
+        lse = row_lse(v)
+        err = float(np.abs(np.exp(u + lse) - mu).sum())
+        if err <= tol:
+            converged = True
+            break
+    plan = kernel + u[None, :]
+    plan += v[:, None]
+    np.exp(plan, out=plan)
+    return plan.T, converged, iterations, err
+
+
 def _pin_loop(monkeypatch, scaling: bool):
-    """Run `sinkhorn` through one loop: the log loop by refusing the scaling
-    start, the scaling loop by checking at teardown that every call took it."""
+    """Run `sinkhorn` through one loop: the absorbing loop by refusing the
+    scaling start, the scaling loop by checking at teardown that every call
+    took it."""
     real = transport._scaling_start
     taken = []
 
@@ -144,7 +214,7 @@ def scaling_loop(monkeypatch):
 
 
 @pytest.fixture
-def log_loop(monkeypatch):
+def absorbing_loop(monkeypatch):
     yield from _pin_loop(monkeypatch, scaling=False)
 
 
@@ -182,13 +252,13 @@ class TestMarginalError:
     def test_converged_solve(self, scaling_loop):
         self._converged_solve()
 
-    def test_converged_solve_log_loop(self, log_loop):
+    def test_converged_solve_log_loop(self, absorbing_loop):
         self._converged_solve()
 
     def test_budget_exhausted_solve(self, scaling_loop):
         self._budget_exhausted_solve()
 
-    def test_budget_exhausted_solve_log_loop(self, log_loop):
+    def test_budget_exhausted_solve_log_loop(self, absorbing_loop):
         self._budget_exhausted_solve()
 
     @pytest.mark.parametrize("max_iter", [2, 5000])
@@ -279,7 +349,7 @@ def _assert_same_solve(z, mu, nu, max_iter, tol):
     start = transport._scaling_start(z, mu, nu)
     assert start is not None
     scaled = transport._scaling_loop(*start, mu, nu, max_iter, tol)
-    logged = transport._log_loop(z, mu, nu, max_iter, tol)
+    logged = reference_log_loop(z, mu, nu, max_iter, tol)
     assert scaled[1:3] == logged[1:3]  # converged, iterations
     # The error is a sum of small differences, each carrying the plan's
     # rounding (about 1e-12 of the unit mass at most).
@@ -289,8 +359,10 @@ def _assert_same_solve(z, mu, nu, max_iter, tol):
 
 
 class TestSolverPaths:
-    """The scaling loop and the log loop compute the same iterates wherever
-    the scaling loop is allowed to run."""
+    """The scaling loop computes the log-domain loop's iterates wherever it
+    is allowed to run. Elsewhere `sinkhorn` falls back to the absorbing
+    loop; "log loop" in a test name here and in `TestMarginalError` means
+    that fallback."""
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_agree_inside_the_bound(self, uniform):
@@ -322,7 +394,7 @@ class TestSolverPaths:
         z, mu, nu = _problem(rng, 200, 8, True, 1.001 * SCALING_RANGE_MAX)
         assert transport._scaling_start(z, mu, nu) is None
         plan = sinkhorn(z, mu, nu, epsilon=1.0, max_iter=300, tol=1e-9)
-        logged = transport._log_loop(z, mu, nu, 300, 1e-9)
+        logged = reference_log_loop(z, mu, nu, 300, 1e-9)
         assert (plan.converged, plan.iterations) == logged[1:3]
         np.testing.assert_allclose(plan.matrix, logged[0], rtol=1e-12, atol=0)
         assert np.all(np.isfinite(plan.matrix))
@@ -344,6 +416,104 @@ class TestSolverPaths:
         assert np.all(np.isfinite(plan.matrix))
         np.testing.assert_array_equal(plan.matrix[mu == 0], 0.0)
         np.testing.assert_array_equal(plan.matrix[:, nu == 0], 0.0)
+
+
+def _matching_problem(rng, size, empty_rows=(), empty_cols=()):
+    """cost/epsilon and marginals shaped like the desk matching solve:
+    squared distances between two noisy, permuted copies of `size` 32-d
+    feature centroids (median about 16), at epsilon 0.01, with uneven
+    component weights. Empty components (no overlap mass) have all-zero
+    centroids, as `estimate_gmm` gives them."""
+    centroids = rng.normal(0.0, 0.5, size=(size, 32))
+    other = centroids[rng.permutation(size)] + rng.normal(0.0, 0.3, size=(size, 32))
+    centroids[list(empty_rows)] = 0.0
+    other[list(empty_cols)] = 0.0
+    cost = ((centroids[:, None, :] - other[None, :, :]) ** 2).sum(axis=2)
+    mu, nu = rng.uniform(0.2, 1.0, size=size), rng.uniform(0.2, 1.0, size=size)
+    return cost / 0.01, mu / mu.sum(), nu / nu.sum()
+
+
+@pytest.fixture
+def absorptions(monkeypatch):
+    """Counts the absorbing loop's log-domain column updates: one in its
+    first iteration, one per absorption after that."""
+    real = transport._lse
+    seen = []
+
+    def lse(x, axis):
+        seen.append(axis)
+        return real(x, axis)
+
+    monkeypatch.setattr(transport, "_lse", lse)
+    return lambda: seen.count(0) - 1
+
+
+def _assert_matches_reference(z, mu, nu, max_iter, tol):
+    """The absorbing loop against the log-domain oracle: same iteration
+    count and flag, same error and plan up to rounding, and exact zeros on
+    zero-mass rows and columns."""
+    got = transport._absorbing_loop(z, mu, nu, max_iter, tol)
+    ref = reference_log_loop(z, mu, nu, max_iter, tol)
+    assert got[1:3] == ref[1:3]  # converged, iterations
+    assert got[3] == pytest.approx(ref[3], rel=1e-6, abs=1e-12)
+    assert np.all(np.isfinite(got[0]))
+    np.testing.assert_allclose(got[0], ref[0], rtol=0, atol=1e-10 * ref[0].max())
+    np.testing.assert_array_equal(got[0][mu == 0], 0.0)
+    np.testing.assert_array_equal(got[0][:, nu == 0], 0.0)
+
+
+class TestAbsorbingLoop:
+    """The absorbing loop computes the log-domain loop's iterates wherever
+    the scaling loop may not run."""
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_matching_solve_absorbs_and_matches(self, size, absorptions):
+        z, mu, nu = _matching_problem(np.random.default_rng(20 + size), size)
+        assert transport._scaling_start(z, mu, nu) is None
+        _assert_matches_reference(z, mu, nu, 5000, 1e-6)
+        assert absorptions() > 0
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
+    def test_column_underflowing_on_the_first_step(self, max_iter):
+        # Column 3 lies at least 2000 kernel units beyond every row's best
+        # column: after the first row update its entries of exp(u - z) are
+        # all 0.0, so a scaling-domain column update would divide by zero.
+        rng = np.random.default_rng(24)
+        z, mu, nu = _matching_problem(rng, 16)
+        z[:, 3] = z.min(axis=1) + 2000.0 + rng.uniform(0.0, 50.0, size=16)
+        first_u = np.log(mu) - np.log(np.exp(-(z - z.min(axis=1, keepdims=True))).sum(axis=1))
+        assert np.all(np.exp(first_u - (z[:, 3] - z.min(axis=1))) == 0.0)
+        assert transport._scaling_start(z, mu, nu) is None
+        _assert_matches_reference(z, mu, nu, max_iter, 1e-6)
+
+    @pytest.mark.parametrize("max_iter", [2, 5000])
+    def test_zero_mass_rows_and_columns(self, max_iter, absorptions):
+        rng = np.random.default_rng(25)
+        z, mu, nu = _matching_problem(rng, 12)
+        mu[[2, 7]] = 0.0
+        nu[[0, 5, 9]] = 0.0
+        # Row 4 sends all of its first-step mass to the empty column 5: the
+        # rest of its row of the first plan underflows to 0.0, and only a
+        # log-domain row update gives it mass again.
+        z[4] += 5000.0
+        z[4, 5] = 0.0
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        np.testing.assert_array_equal(reference_log_loop(z, mu, nu, 1, 1e-6)[0][4], 0.0)
+        _assert_matches_reference(z, mu, nu, max_iter, 1e-6)
+        assert absorptions() > 0 or max_iter == 2
+
+    @pytest.mark.parametrize("max_iter", [2, 5000])
+    def test_tiny_marginal_entries(self, max_iter):
+        # Weights like these come out of the oracle-overlap arm at keep 0.3:
+        # components that hold no overlapping point keep only the tails of
+        # the soft assignment. The rows of K for such components fall below
+        # float64's range at rebuilds, so K b holds zeros.
+        empty_rows, empty_cols = [0, 4, 5, 6, 7], [0, 3, 4, 5, 6, 7]
+        z, _, _ = _matching_problem(np.random.default_rng(26), 8, empty_rows, empty_cols)
+        mu = np.array([1e-142, 0.83, 0.17, 5e-3, 1e-229, 1e-108, 1e-83, 1e-184])
+        nu = np.array([1e-191, 0.875, 0.125, 1e-70, 1e-181, 1e-119, 1e-189, 1e-193])
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        _assert_matches_reference(z, mu, nu, max_iter, 1e-6)
 
 
 def test_call_sites_bind_the_public_solver():
