@@ -10,6 +10,7 @@ distances, and close with a weighted Procrustes solve.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -43,6 +44,12 @@ from .transport import TransportPlan
 
 OVERLAP_MODES = ("predicted", "ones")
 SOLVERS = ("transport", "l2")
+# The pipeline stages `register` times, in pipeline order; its diagnostics
+# report each one's milliseconds summed over starts under "stage_ms".
+STAGES = (
+    "encode", "geometric_kmeans", "self_attention", "cross_attention", "overlap_head",
+    "soft_assignment", "moments", "matching", "procrustes", "restart_selection",
+)
 
 
 @dataclass(frozen=True)
@@ -72,15 +79,12 @@ class RegisterConfig:
     kmeans_max_iter: int = 50
     kmeans_tol: float = 1e-6
     sinkhorn_epsilon: float = 0.01
-    # Component matching at this absolute epsilon mostly does not converge
-    # within the budget: on 24 partial-overlap desk pairs (3 starts each),
-    # 64 of 72 solves ended unconverged at 5000 iterations. Given 400k
-    # iterations, 71 converged after 31k on average (median 15k, most
-    # 291k) and one still had not. The returned plan is used either way
-    # (`sinkhorn_converged` in the diagnostics says which); ROADMAP item 2
-    # tracks the fix. A solve that runs the whole budget costs 50-65 ms at
-    # 8 or 16 components on one core of a 2-vCPU Xeon (130-155 ms before
-    # the absorbing scaling loop replaced the log-domain one).
+    # The matching solve at this absolute epsilon takes the Newton loop of
+    # `transport.sinkhorn`: on 276 solves captured from desk pairs and the
+    # oracle arm of criteria 8 and 9 it converged every time, in 40-42
+    # iterations (median) and 55 at most, about 4.4 ms a solve at 8 or 16
+    # components on one core of a 2-vCPU Xeon. The budget is a backstop;
+    # `sinkhorn_converged` in the diagnostics says whether it was reached.
     sinkhorn_max_iter: int = 5000
     sinkhorn_tol: float = 1e-6
     overlap_mode: str = "predicted"
@@ -141,12 +145,23 @@ def _validate_overlap(values, n: int, name: str) -> np.ndarray:
     return arr
 
 
+@contextmanager
+def _timed(stage_ms: dict, stage: str):
+    """Add the wall time of the block, in ms, to stage_ms[stage]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_ms[stage] += (time.perf_counter() - start) * 1000.0
+
+
 def _register_once(
     source: PointCloud,
     target: PointCloud,
     config: RegisterConfig,
     overlap_source,
     overlap_target,
+    stage_ms: dict,
 ) -> RegistrationResult:
     n_p, n_q = len(source), len(target)
     needed = max(config.n_geo_clusters, config.n_components, config.k_neighbors + 1)
@@ -157,28 +172,27 @@ def _register_once(
         )
 
     fcfg = FeatureConfig(config.d, config.k_neighbors, config.feature_seed)
-    enc_p = encode(source, fcfg)
-    enc_q = encode(target, fcfg)
+    with _timed(stage_ms, "encode"):
+        enc_p = encode(source, fcfg)
+        enc_q = encode(target, fcfg)
 
-    geo_p = wasserstein_kmeans(
-        source, config.n_geo_clusters, config.cluster_seed,
-        max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
-    )
-    geo_q = wasserstein_kmeans(
-        target, config.n_geo_clusters, config.cluster_seed,
-        max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
-    )
+    with _timed(stage_ms, "geometric_kmeans"):
+        geo_p = wasserstein_kmeans(
+            source, config.n_geo_clusters, config.cluster_seed,
+            max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
+        )
+        geo_q = wasserstein_kmeans(
+            target, config.n_geo_clusters, config.cluster_seed,
+            max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
+        )
 
     self_seed, cross_seed, head_seed = (
         int(s) for s in np.random.SeedSequence(config.attention_seed).generate_state(3)
     )
-    w_self = AttentionWeights.seeded(config.d, config.attention_heads, self_seed)
-    f_p = clustered_self_attention(enc_p.features, geo_p.gamma, w_self)
-    f_q = clustered_self_attention(enc_q.features, geo_q.gamma, w_self)
-
-    w_cross = AttentionWeights.seeded(config.d, config.attention_heads, cross_seed)
-    f_p_cross = clustered_cross_attention(f_p, f_q, geo_q.gamma, w_cross)
-    f_q_cross = clustered_cross_attention(f_q, f_p, geo_p.gamma, w_cross)
+    with _timed(stage_ms, "self_attention"):
+        w_self = AttentionWeights.seeded(config.d, config.attention_heads, self_seed)
+        f_p = clustered_self_attention(enc_p.features, geo_p.gamma, w_self)
+        f_q = clustered_self_attention(enc_q.features, geo_q.gamma, w_self)
 
     if overlap_source is not None or overlap_target is not None:
         if overlap_source is None or overlap_target is None:
@@ -191,28 +205,40 @@ def _register_once(
         o_q = np.ones(n_q)
         overlap_origin = "ones"
     else:
-        head = OverlapHead.seeded(config.d, head_seed, config.tau)
-        o_p = overlap_scores(f_p_cross, f_q_cross, head)
-        o_q = overlap_scores(f_q_cross, f_p_cross, head)
+        # Cross-attended features feed the overlap head alone, so only the
+        # predicted arm computes them.
+        with _timed(stage_ms, "cross_attention"):
+            w_cross = AttentionWeights.seeded(config.d, config.attention_heads, cross_seed)
+            f_p_cross = clustered_cross_attention(f_p, f_q, geo_q.gamma, w_cross)
+            f_q_cross = clustered_cross_attention(f_q, f_p, geo_p.gamma, w_cross)
+        with _timed(stage_ms, "overlap_head"):
+            head = OverlapHead.seeded(config.d, head_seed, config.tau)
+            o_p = overlap_scores(f_p_cross, f_q_cross, head)
+            o_q = overlap_scores(f_q_cross, f_p_cross, head)
         overlap_origin = "predicted"
 
-    soft_p = soft_assignment(f_p, config.n_components, config.cluster_seed, config.temperature)
-    soft_q = soft_assignment(f_q, config.n_components, config.cluster_seed, config.temperature)
+    with _timed(stage_ms, "soft_assignment"):
+        soft_p = soft_assignment(f_p, config.n_components, config.cluster_seed, config.temperature)
+        soft_q = soft_assignment(f_q, config.n_components, config.cluster_seed, config.temperature)
 
-    gmm_p = estimate_gmm(source.with_features(f_p), soft_p, o_p)
-    gmm_q = estimate_gmm(target.with_features(f_q), soft_q, o_q)
+    with _timed(stage_ms, "moments"):
+        gmm_p = estimate_gmm(source.with_features(f_p), soft_p, o_p)
+        gmm_q = estimate_gmm(target.with_features(f_q), soft_q, o_q)
 
     if config.solver == "transport":
-        plan = match_components(
-            gmm_p, gmm_q,
-            epsilon=config.sinkhorn_epsilon,
-            max_iter=config.sinkhorn_max_iter,
-            tol=config.sinkhorn_tol,
-        )
-        transform = weighted_svd(gmm_p.means, gmm_q.means, plan.matrix)
+        with _timed(stage_ms, "matching"):
+            plan = match_components(
+                gmm_p, gmm_q,
+                epsilon=config.sinkhorn_epsilon,
+                max_iter=config.sinkhorn_max_iter,
+                tol=config.sinkhorn_tol,
+            )
+        with _timed(stage_ms, "procrustes"):
+            transform = weighted_svd(gmm_p.means, gmm_q.means, plan.matrix)
     else:
         plan = None
-        transform = gmm_l2_svd(gmm_p, gmm_q)
+        with _timed(stage_ms, "procrustes"):
+            transform = gmm_l2_svd(gmm_p, gmm_q)
 
     diagnostics = {
         "overlap_origin": overlap_origin,
@@ -265,6 +291,7 @@ def register(
     the available robustness.
     """
     start = time.perf_counter()
+    stage_ms = dict.fromkeys(STAGES, 0.0)
     best = None
     residuals = []
     # Each start's matching solve, so an unconverged solve in a start that
@@ -280,7 +307,9 @@ def register(
             feature_seed=config.feature_seed + i,
         )
         try:
-            attempt = _register_once(source, target, variant, overlap_source, overlap_target)
+            attempt = _register_once(
+                source, target, variant, overlap_source, overlap_target, stage_ms
+            )
         except DegenerateGeometryError as exc:
             failure = exc
             residuals.append(float("inf"))
@@ -290,7 +319,8 @@ def register(
         if config.starts == 1:
             best = (0.0, i, attempt)
             break
-        residual = _alignment_residual(attempt, source, target)
+        with _timed(stage_ms, "restart_selection"):
+            residual = _alignment_residual(attempt, source, target)
         residuals.append(residual)
         if best is None or residual < best[0]:
             best = (residual, i, attempt)
@@ -300,6 +330,7 @@ def register(
     elapsed = (time.perf_counter() - start) * 1000.0
     diagnostics = dict(result.diagnostics)
     diagnostics["runtime_ms"] = elapsed
+    diagnostics["stage_ms"] = stage_ms
     diagnostics["starts"] = int(config.starts)
     diagnostics["chosen_start"] = int(chosen)
     if config.starts > 1:

@@ -1,14 +1,14 @@
-"""Entropy-regularized optimal transport via Sinkhorn iterations.
+"""Entropy-regularized optimal transport.
 
-`sinkhorn` runs one of two loops that compute the same iterates, both on the
-scalings of a kernel with two matrix-vector products per step. Where the
-kernel exp(-C/eps) fits in float64 with room to spare, the scaling loop
-iterates on that kernel alone (shifted so every row and column holds a 1).
-Elsewhere, for small epsilon where the kernel underflows or when a marginal
-has zero-mass entries, the absorbing loop folds the scalings into the dual
-potentials whenever they leave a safe range and rebuilds the kernel around
-them. Zero-mass marginal entries are legal; their plan rows/columns are
-exactly zero.
+`sinkhorn` runs one of two loops. Where the kernel exp(-C/eps) fits in
+float64 with room to spare, the scaling loop runs Sinkhorn on that kernel
+alone (shifted so every row and column holds a 1), two matrix-vector
+products per iteration; the balanced k-means assignment lands there.
+Elsewhere, for small epsilon where the kernel underflows (the component
+matching) or when a marginal has zero-mass entries, a damped Newton method
+on the entropic dual, warm-started by epsilon scaling, solves the same
+problem to convergence in a few dozen steps. Zero-mass marginal entries are
+legal; their plan rows/columns are exactly zero.
 """
 
 from __future__ import annotations
@@ -23,15 +23,22 @@ import numpy as np
 # range [e^-708.4, e^709.8].
 SCALING_RANGE_MAX = 350.0
 
-# Largest scaling the absorbing loop keeps before folding it into the dual
-# potentials (see `_absorbing_loop`); the smallest is its reciprocal. A
-# rebuilt kernel holds the entries of a plan whose columns carry mass at
-# most 1, so they lie in [0, 1]. With every scaling in [1e-100, 1e100], the
-# products K b, K^T a and a (K b), and the plan's entries, stay below
-# max(n, m) * 1e200, finite for any array numpy can hold. A kernel entry
-# that underflows to 0 would have put at most 2.3e-308 * 1e200 < 1e-107 of
-# the unit mass into the plan, far below its rounding.
-SCALING_ABSORB_BOUND = 1e100
+# The Newton loop (see `_newton_loop`). Epsilon falls by EPSILON_STEP per
+# stage; every stage but the last stops at STAGE_TOL. At 1e-2 or 1e-3 a
+# stage could end before placing a split of less mass than that, and the
+# last stage then crawled across a gap of thousands of epsilons (over 1000
+# steps on a few random problems). A step moves no log-potential by more
+# than MAX_STEP: along a column whose potential barely moves the plan, the
+# Newton solution is huge. RIDGE (in units of the unit mass) keeps the
+# Newton system invertible when a column is cut off from the rest; a step
+# that fails Armijo's test at ARMIJO after MAX_HALVINGS halvings becomes a
+# Sinkhorn sweep.
+EPSILON_STEP = 4.0
+STAGE_TOL = 1e-4
+MAX_STEP = 5.0
+RIDGE = 1e-12
+ARMIJO = 1e-4
+MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,10 @@ def _scaling_start(z: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     z is cost/epsilon, mu and nu are probability vectors. z is shifted by
     its row minima r, then by the column minima s of the result, so the
     kernel exp(-(z - r - s)) lies in [e^-R, 1] with a 1 in every row and
-    column. The starting column potentials v = 0 of the absorbing loop are
-    the column scaling exp(-s) in this gauge; an entry of it that
-    underflows belongs to a column whose kernel entries sit below e^-708 of
-    the row's 1, so the first row update is unaffected.
+    column. Starting from column potentials zero, as the log-domain
+    Sinkhorn loop does, means the column scaling exp(-s) in this gauge; an
+    entry of it that underflows belongs to a column whose kernel entries
+    sit below e^-708 of the row's 1, so the first row update is unaffected.
     """
     if not (np.all(mu > 0) and np.all(nu > 0)):
         return None
@@ -111,7 +118,8 @@ def _scaling_loop(kernel, b, mu, nu, max_iter: int, tol: float):
 
     Returns (plan, converged, iterations, marginal_error) for unit mass. The
     error is the row violation a * (K b) - mu, read from the K b the next
-    row update needs, as in `_absorbing_loop`.
+    row update needs: after each column update the column marginal is met
+    up to rounding.
     """
     kernel_t = np.ascontiguousarray(kernel.T)
     kb = kernel @ b
@@ -137,92 +145,105 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(x - np.expand_dims(shift, axis)).sum(axis=axis)) + shift
 
 
-def _absorbing_loop(z: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, tol: float):
-    """Sinkhorn on the scalings of a kernel that absorbs them, for any
-    z = cost/epsilon (Schmitzer 2019, Alg. 2).
+def _sweep(b: np.ndarray, zs: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """One Sinkhorn iteration in the log domain: the row update, then the
+    column update; returns the new column log-potentials."""
+    a = np.log(mu) - _lse(b - zs, axis=1)
+    return np.log(nu) - _lse(a[:, None] - zs, axis=0)
 
-    The plan is diag(a) K diag(b) with K = exp(u + v - z): the scaled dual
-    potentials u, v hold what the scalings a, b have absorbed so far, and
-    the log-domain iterates are u + log a and v + log b. Each iteration is
-    a = mu / (K b), then b = nu / (K^T a). When any scaling leaves
-    [1 / SCALING_ABSORB_BOUND, SCALING_ABSORB_BOUND], log a is added to u
-    (or, where K b held a zero or an infinity, the row update is redone in
-    the log domain), the column update is redone in the log domain, and K
-    is rebuilt with both scalings reset to 1. Starting, as the scaling loop
-    does, from column potentials zero, iteration counts, flags and errors
-    agree with a log-domain loop up to rounding.
 
-    Returns (plan, converged, iterations, marginal_error) for unit mass;
-    rows and columns of zero mass are exactly zero in the plan.
+def _row_plan(b: np.ndarray, zs: np.ndarray, mu: np.ndarray):
+    """The plan of the column log-potentials b with the row marginal met by
+    an exact row update, as (row-stochastic pi, plan = mu * pi)."""
+    pi = b - zs
+    pi -= pi.max(axis=1, keepdims=True)
+    np.exp(pi, out=pi)
+    pi /= pi.sum(axis=1, keepdims=True)
+    return pi, pi * mu[:, None]
+
+
+def _violation(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+    """Summed L1 violation of both marginals."""
+    return float(np.abs(plan.sum(axis=1) - mu).sum() + np.abs(plan.sum(axis=0) - nu).sum())
+
+
+def _newton_step(pi: np.ndarray, plan: np.ndarray, mu: np.ndarray, nu: np.ndarray):
+    """Damped Newton ascent step on the column log-potentials b, or None.
+
+    With rows met by the exact row update, the dual is the concave
+    phi(b) = <b, nu> - sum_i mu_i log sum_j exp(b_j - zs_ij), with gradient
+    nu - P^T 1 and Hessian -(diag(P^T 1) - P^T diag(1/mu) P): the system
+    [diag(P 1) P; P^T diag(P^T 1)] with its row block diag(mu) eliminated.
+    That is the Laplacian of the columns weighted by W = P^T diag(1/mu) P,
+    built from W's off-diagonal entries so no diagonal entry cancels. The
+    last column's potential stays fixed (phi is invariant to a shift).
+    """
+    grad = nu - plan.sum(axis=0)
+    weights = plan.T @ pi
+    np.fill_diagonal(weights, 0.0)
+    system = -weights[:-1, :-1]
+    system[np.diag_indices_from(system)] = weights[:-1].sum(axis=1) + RIDGE
+    step = np.zeros_like(grad)
+    step[:-1] = np.linalg.solve(system, grad[:-1])
+    slope = float(grad @ step)
+    t = MAX_STEP / max(float(np.abs(step).max()), MAX_STEP)
+    for _ in range(MAX_HALVINGS):
+        # phi(b + t step) - phi(b), kept precise as the step shrinks:
+        # log sum_j pi_ij exp(t step_j) = log1p(pi @ expm1(t step)).
+        gain = t * float(step @ nu) - float(mu @ np.log1p(pi @ np.expm1(t * step)))
+        if gain >= ARMIJO * t * slope:
+            return t * step
+        t *= 0.5
+    return None
+
+
+def _newton_loop(z: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, tol: float):
+    """Damped Newton ascent on the entropic dual with epsilon scaling, for
+    any z = cost/epsilon (Brauer et al. 2017; Schmitzer 2019).
+
+    It works on the marginals' support, on the column log-potentials b; an
+    exact row update gives the rows. Epsilon starts at the cost range and
+    falls by EPSILON_STEP per stage, b carrying over in cost units. Each
+    stage opens with a Sinkhorn sweep, which puts every column potential at
+    its maximizer given the rows, then takes Newton steps until the summed
+    L1 violation of both marginals is at most STAGE_TOL (tol in the last
+    stage). `iterations` counts sweeps and steps; max_iter bounds them.
+
+    Returns (plan, converged, iterations, marginal_error) for unit mass,
+    the plan built at the configured epsilon from the last potentials (the
+    budget may run out in an earlier stage) and the error recomputed from
+    it. Rows and columns of zero mass are exactly zero.
     """
     rows, cols = mu > 0, nu > 0
-    # Iteration 1's row update sees every column, at potential 0; from its
-    # column update on, zero-mass rows and columns would carry -inf
-    # potentials, so the loop runs on the marginals' support alone.
-    u = np.log(mu[rows]) - _lse(-z[rows], axis=1)
-    neg_z = -z[np.ix_(rows, cols)]
-    mu, nu = mu[rows], nu[cols]
-    log_mu, log_nu = np.log(mu), np.log(nu)
-    n, m = neg_z.shape
-    kernel = np.empty((n, m))
-    kernel_t = np.empty((m, n))
-    # One buffer holds a, b and the previous b, so one min and one max test
-    # every scaling; b and the previous b swap halves each iteration.
-    scalings = np.ones(n + 2 * m)
-    a, b, b_prev = scalings[:n], scalings[n : n + m], scalings[n + m :]
-
-    def absorb(u: np.ndarray) -> np.ndarray:
-        """Column update in the log domain from the row potentials u, K
-        rebuilt around the result, every scaling reset to 1; returns v."""
-        np.add(neg_z, u[:, None], out=kernel)
-        v = log_nu - _lse(kernel, axis=0)
-        np.add(kernel, v, out=kernel)
-        np.exp(kernel, out=kernel)
-        kernel_t[...] = kernel.T
-        scalings.fill(1.0)
-        return v
-
-    v = absorb(u)
-    ka = np.empty(m)
-    kb = kernel.sum(axis=1)
-    scratch = np.empty(n)
-    iterations = 1
-    err = float(np.abs(kb - mu).sum())
-    low, high = 1.0 / SCALING_ABSORB_BOUND, SCALING_ABSORB_BOUND
-    # Out-of-range scalings are caught by the test below, infinite and NaN
-    # ones included, so numpy need not warn about them.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while err > tol and iterations < max_iter:
+    z = z[np.ix_(rows, cols)]
+    z = z - z.min()
+    mu_s, nu_s = mu[rows], nu[cols]
+    # Stage epsilon over the configured one; b is in units of the stage's.
+    scale = max(float(z.max()), 1.0)
+    b = np.zeros(nu_s.size)
+    iterations = 0
+    while True:
+        zs = z / scale
+        stage_tol = tol if scale == 1.0 else max(STAGE_TOL, tol)
+        b = _sweep(b, zs, mu_s, nu_s)
+        iterations += 1
+        while iterations < max_iter:
+            pi, plan = _row_plan(b, zs, mu_s)
+            if _violation(plan, mu_s, nu_s) <= stage_tol:
+                break
             iterations += 1
-            np.divide(mu, kb, out=a)
-            np.dot(kernel_t, a, out=ka)
-            b, b_prev = b_prev, b
-            np.divide(nu, ka, out=b)
-            if not (low <= scalings.min() and scalings.max() <= high):
-                # b is dropped (it may be infinite where a column of K^T a
-                # underflowed) and this column update redone in the log
-                # domain.
-                if np.all((a > 0.0) & (a < np.inf)):
-                    u += np.log(a)
-                else:
-                    # A row of K b underflowed or overflowed: a row whose
-                    # first-iteration mass went to zero-mass columns, or one
-                    # whose marginal entry is so small that its row of K
-                    # falls below float64's range. Its row update is redone
-                    # in the log domain too.
-                    v += np.log(b_prev)
-                    u = log_mu - _lse(neg_z + v, axis=1)
-                v = absorb(u)
-            # The column marginal is now met up to rounding; the row
-            # violation is read from the K b the next row update needs.
-            np.dot(kernel, b, out=kb)
-            np.multiply(a, kb, out=scratch)
-            scratch -= mu
-            np.abs(scratch, out=scratch)
-            err = float(scratch.sum())
-    plan = np.zeros((rows.size, cols.size))
-    plan[np.ix_(rows, cols)] = kernel * a[:, None] * b[None, :]
-    return plan, err <= tol, iterations, err
+            step = _newton_step(pi, plan, mu_s, nu_s)
+            b = _sweep(b, zs, mu_s, nu_s) if step is None else b + step
+        if scale == 1.0 or iterations == max_iter:
+            break
+        shrunk = max(scale / EPSILON_STEP, 1.0)
+        b *= scale / shrunk
+        scale = shrunk
+    _, plan = _row_plan(b * scale, z, mu_s)
+    err = _violation(plan, mu_s, nu_s)
+    full = np.zeros((rows.size, cols.size))
+    full[np.ix_(rows, cols)] = plan
+    return full, err <= tol, iterations, err
 
 
 def sinkhorn(
@@ -238,18 +259,11 @@ def sinkhorn(
     Both marginals must carry the same total mass (relative difference below
     1e-8); they are rescaled to probability vectors internally, and the
     returned plan is scaled back, so its total mass matches the inputs.
-    Convergence means the summed L1 violation of both marginals is at most
-    tol. The plan of the final iteration is returned even when the iteration
-    budget runs out (converged=False).
+    Convergence means the summed L1 violation of both marginals,
+    `marginal_error`, is at most tol. The last iterate's plan is returned
+    even when the iteration budget runs out (converged=False).
 
-    `marginal_error` is the row violation alone: after each column update
-    the column marginal is met exactly up to rounding, and the row sums of
-    that iteration's plan are read from the quantity the next row update
-    needs anyway. The plan is built once, after the last iteration.
-
-    Two loops compute the same iterates from the same start (column
-    potentials zero), so iteration counts, `converged` and
-    `marginal_error` agree between them up to rounding:
+    Two loops solve the problem:
 
     - The scaling loop (two matrix-vector products per iteration) runs when
       both marginals are strictly positive and the dynamic range
@@ -265,17 +279,23 @@ def sinkhorn(
       [e^-2 Lambda, e^2 Lambda], inside float64's normal range. The
       balanced k-means assignment step, whose epsilon is a fraction of the
       mean cost, lands here: over 1305 such calls captured from both
-      benchmark workloads, Lambda was 231 at most.
-    - The absorbing loop runs for every other input: small absolute
-      epsilon (the component matching, whose range runs into the
-      thousands) and any zero-mass marginal entry. It also iterates
-      a = mu / (K b), b = nu / (K^T a), but on a kernel built around dual
-      potentials: when a scaling leaves [1e-100, 1e100]
-      (SCALING_ABSORB_BOUND), it is folded into the potentials, the column
-      update is redone in the log domain and the kernel is rebuilt. The
-      first iteration runs in the log domain over every column; from then
-      on the loop works on the marginals' support. On the desk matching
-      solves (8x8 and 16x16 at epsilon 0.01) it absorbed about 5 times per
+      benchmark workloads, Lambda was 231 at most. Its `marginal_error` is
+      the row violation alone, read from the quantity the next row update
+      needs; the column marginal is met up to rounding after each
+      iteration, and the plan is built once, after the last.
+    - The Newton loop (`_newton_loop`) runs for every other input: small
+      absolute epsilon (the component matching, whose range runs into the
+      thousands) and any zero-mass marginal entry. It ascends the dual in
+      the column log-potentials, the rows being met exactly by a log-domain
+      row update, with damped Newton steps; epsilon falls from the cost
+      range to the configured one by a factor 4 per stage, each stage
+      starting from the last one's potentials. Its `iterations` counts
+      Sinkhorn sweeps and Newton steps, and its `marginal_error` is
+      recomputed from the returned plan. On 276 captured matching solves
+      (8x8 and 16x16 at epsilon 0.01, from desk pairs and from the oracle
+      arm of criteria 8 and 9) it converged every time, in 40-42
+      iterations (median) and 55 at most, about 4.4 ms a solve on one core
+      of a 2-vCPU Xeon; plain Sinkhorn ended most of them unconverged at
       5000 iterations.
     """
     c = np.asarray(cost, dtype=np.float64)
@@ -301,7 +321,7 @@ def sinkhorn(
     z = c / epsilon
     start = _scaling_start(z, mu, nu)
     if start is None:
-        plan, converged, iterations, err = _absorbing_loop(z, mu, nu, max_iter, tol)
+        plan, converged, iterations, err = _newton_loop(z, mu, nu, max_iter, tol)
     else:
         plan, converged, iterations, err = _scaling_loop(*start, mu, nu, max_iter, tol)
     plan *= mass_mu

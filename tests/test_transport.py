@@ -123,10 +123,9 @@ class TestSinkhornAgainstExactSolvers:
 
 
 def reference_log_loop(z: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, tol: float):
-    """The log-domain loop `_absorbing_loop` replaced, kept verbatim as the
-    oracle its iterates must match.
-
-    Sinkhorn on the scaled dual potentials, for any z = cost/epsilon.
+    """Plain Sinkhorn on the scaled dual potentials, for any z =
+    cost/epsilon: the log-domain loop that the matching solve ran before the
+    Newton loop, kept as an independent oracle.
 
     Returns (plan, converged, iterations, marginal_error) for unit mass.
     The plan is a transposed view of an (m, n) array.
@@ -192,7 +191,7 @@ def reference_log_loop(z: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: 
 
 
 def _pin_loop(monkeypatch, scaling: bool):
-    """Run `sinkhorn` through one loop: the absorbing loop by refusing the
+    """Run `sinkhorn` through one loop: the Newton loop by refusing the
     scaling start, the scaling loop by checking at teardown that every call
     took it."""
     real = transport._scaling_start
@@ -214,14 +213,14 @@ def scaling_loop(monkeypatch):
 
 
 @pytest.fixture
-def absorbing_loop(monkeypatch):
+def newton_loop(monkeypatch):
     yield from _pin_loop(monkeypatch, scaling=False)
 
 
 class TestMarginalError:
-    """The reported error is folded into the iterations, never read off the
-    returned plan; it must still equal the plan's own L1 violation, on
-    either loop."""
+    """The scaling loop folds the reported error into its iterations and the
+    Newton loop recomputes it from its plan; either way it must equal the
+    returned plan's own L1 violation."""
 
     @staticmethod
     def _violation(plan, mu, nu):
@@ -252,13 +251,13 @@ class TestMarginalError:
     def test_converged_solve(self, scaling_loop):
         self._converged_solve()
 
-    def test_converged_solve_log_loop(self, absorbing_loop):
+    def test_converged_solve_log_loop(self, newton_loop):
         self._converged_solve()
 
     def test_budget_exhausted_solve(self, scaling_loop):
         self._budget_exhausted_solve()
 
-    def test_budget_exhausted_solve_log_loop(self, absorbing_loop):
+    def test_budget_exhausted_solve_log_loop(self, newton_loop):
         self._budget_exhausted_solve()
 
     @pytest.mark.parametrize("max_iter", [2, 5000])
@@ -360,9 +359,9 @@ def _assert_same_solve(z, mu, nu, max_iter, tol):
 
 class TestSolverPaths:
     """The scaling loop computes the log-domain loop's iterates wherever it
-    is allowed to run. Elsewhere `sinkhorn` falls back to the absorbing
-    loop; "log loop" in a test name here and in `TestMarginalError` means
-    that fallback."""
+    is allowed to run. Elsewhere `sinkhorn` falls back to the Newton loop;
+    "log loop" in a test name here and in `TestMarginalError` means that
+    fallback."""
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_agree_inside_the_bound(self, uniform):
@@ -395,9 +394,8 @@ class TestSolverPaths:
         assert transport._scaling_start(z, mu, nu) is None
         plan = sinkhorn(z, mu, nu, epsilon=1.0, max_iter=300, tol=1e-9)
         logged = reference_log_loop(z, mu, nu, 300, 1e-9)
-        assert (plan.converged, plan.iterations) == logged[1:3]
-        np.testing.assert_allclose(plan.matrix, logged[0], rtol=1e-12, atol=0)
-        assert np.all(np.isfinite(plan.matrix))
+        assert plan.converged and logged[1]
+        _assert_same_optimum(plan.matrix, logged[0], 1e-9)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_zero_mass_atom_takes_the_log_loop(self, axis):
@@ -433,87 +431,187 @@ def _matching_problem(rng, size, empty_rows=(), empty_cols=()):
     return cost / 0.01, mu / mu.sum(), nu / nu.sum()
 
 
-@pytest.fixture
-def absorptions(monkeypatch):
-    """Counts the absorbing loop's log-domain column updates: one in its
-    first iteration, one per absorption after that."""
-    real = transport._lse
-    seen = []
-
-    def lse(x, axis):
-        seen.append(axis)
-        return real(x, axis)
-
-    monkeypatch.setattr(transport, "_lse", lse)
-    return lambda: seen.count(0) - 1
+def _assert_same_optimum(plan, reference, tol):
+    """Two plans that each meet the marginals within tol approximate the one
+    entropic optimum; they differ by a few tol in total variation."""
+    assert 0.5 * np.abs(plan - reference).sum() <= 10 * tol
 
 
-def _assert_matches_reference(z, mu, nu, max_iter, tol):
-    """The absorbing loop against the log-domain oracle: same iteration
-    count and flag, same error and plan up to rounding, and exact zeros on
-    zero-mass rows and columns."""
-    got = transport._absorbing_loop(z, mu, nu, max_iter, tol)
-    ref = reference_log_loop(z, mu, nu, max_iter, tol)
-    assert got[1:3] == ref[1:3]  # converged, iterations
-    assert got[3] == pytest.approx(ref[3], rel=1e-6, abs=1e-12)
-    assert np.all(np.isfinite(got[0]))
-    np.testing.assert_allclose(got[0], ref[0], rtol=0, atol=1e-10 * ref[0].max())
-    np.testing.assert_array_equal(got[0][mu == 0], 0.0)
-    np.testing.assert_array_equal(got[0][:, nu == 0], 0.0)
+def _assert_honest(plan, mu, nu, tol):
+    """A finite plan, exact zeros on zero-mass rows and columns, an error
+    that is the plan's own L1 violation of both marginals, and a flag that
+    says whether that error is within tol."""
+    assert np.all(np.isfinite(plan.matrix))
+    np.testing.assert_array_equal(plan.matrix[mu == 0], 0.0)
+    np.testing.assert_array_equal(plan.matrix[:, nu == 0], 0.0)
+    assert abs(plan.marginal_error - TestMarginalError._violation(plan, mu, nu)) <= 1e-12
+    assert plan.converged == (plan.marginal_error <= tol)
 
 
-class TestAbsorbingLoop:
-    """The absorbing loop computes the log-domain loop's iterates wherever
-    the scaling loop may not run."""
+def _newton(z, mu, nu, max_iter, tol=1e-6):
+    """`sinkhorn` on z = cost/epsilon, which it must send to the Newton
+    loop, with the returned plan checked by `_assert_honest`."""
+    assert transport._scaling_start(z, mu, nu) is None
+    plan = sinkhorn(z, mu, nu, epsilon=1.0, max_iter=max_iter, tol=tol)
+    _assert_honest(plan, mu, nu, tol)
+    return plan
+
+
+class TestNewtonLoop:
+    """The Newton loop runs wherever the scaling loop may not. It converges
+    on the desk matching solves, where plain Sinkhorn runs out of budget,
+    and agrees with plain Sinkhorn wherever that converges."""
 
     @pytest.mark.parametrize("size", [8, 16])
-    def test_matching_solve_absorbs_and_matches(self, size, absorptions):
+    def test_matching_solve_converges_where_the_log_loop_does_not(self, size):
         z, mu, nu = _matching_problem(np.random.default_rng(20 + size), size)
-        assert transport._scaling_start(z, mu, nu) is None
-        _assert_matches_reference(z, mu, nu, 5000, 1e-6)
-        assert absorptions() > 0
+        assert not reference_log_loop(z, mu, nu, 5000, 1e-6)[1]
+        plan = _newton(z, mu, nu, 5000)
+        assert plan.converged
+        assert plan.iterations < 100
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
     def test_column_underflowing_on_the_first_step(self, max_iter):
         # Column 3 lies at least 2000 kernel units beyond every row's best
         # column: after the first row update its entries of exp(u - z) are
-        # all 0.0, so a scaling-domain column update would divide by zero.
+        # all 0.0, so only a log-domain column update gives it mass.
         rng = np.random.default_rng(24)
         z, mu, nu = _matching_problem(rng, 16)
         z[:, 3] = z.min(axis=1) + 2000.0 + rng.uniform(0.0, 50.0, size=16)
         first_u = np.log(mu) - np.log(np.exp(-(z - z.min(axis=1, keepdims=True))).sum(axis=1))
         assert np.all(np.exp(first_u - (z[:, 3] - z.min(axis=1))) == 0.0)
-        assert transport._scaling_start(z, mu, nu) is None
-        _assert_matches_reference(z, mu, nu, max_iter, 1e-6)
+        plan = _newton(z, mu, nu, max_iter)
+        assert plan.iterations <= max_iter
+        assert plan.converged == (max_iter == 5000)
 
     @pytest.mark.parametrize("max_iter", [2, 5000])
-    def test_zero_mass_rows_and_columns(self, max_iter, absorptions):
+    def test_zero_mass_rows_and_columns(self, max_iter):
         rng = np.random.default_rng(25)
         z, mu, nu = _matching_problem(rng, 12)
         mu[[2, 7]] = 0.0
         nu[[0, 5, 9]] = 0.0
-        # Row 4 sends all of its first-step mass to the empty column 5: the
-        # rest of its row of the first plan underflows to 0.0, and only a
-        # log-domain row update gives it mass again.
+        # Row 4 sends all of its first-step mass to the empty column 5.
         z[4] += 5000.0
         z[4, 5] = 0.0
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        np.testing.assert_array_equal(reference_log_loop(z, mu, nu, 1, 1e-6)[0][4], 0.0)
-        _assert_matches_reference(z, mu, nu, max_iter, 1e-6)
-        assert absorptions() > 0 or max_iter == 2
+        plan = _newton(z, mu, nu, max_iter)
+        assert plan.converged == (max_iter == 5000)
 
     @pytest.mark.parametrize("max_iter", [2, 5000])
     def test_tiny_marginal_entries(self, max_iter):
         # Weights like these come out of the oracle-overlap arm at keep 0.3:
         # components that hold no overlapping point keep only the tails of
-        # the soft assignment. The rows of K for such components fall below
-        # float64's range at rebuilds, so K b holds zeros.
+        # the soft assignment, and all sit at the same centroid.
         empty_rows, empty_cols = [0, 4, 5, 6, 7], [0, 3, 4, 5, 6, 7]
         z, _, _ = _matching_problem(np.random.default_rng(26), 8, empty_rows, empty_cols)
         mu = np.array([1e-142, 0.83, 0.17, 5e-3, 1e-229, 1e-108, 1e-83, 1e-184])
         nu = np.array([1e-191, 0.875, 0.125, 1e-70, 1e-181, 1e-119, 1e-189, 1e-193])
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        _assert_matches_reference(z, mu, nu, max_iter, 1e-6)
+        plan = _newton(z, mu, nu, max_iter)
+        assert plan.converged == (max_iter == 5000)
+        if plan.converged:
+            logged = reference_log_loop(z, mu, nu, max_iter, 1e-6)
+            assert logged[1]
+            _assert_same_optimum(plan.matrix, logged[0], 1e-6)
+
+    def test_agrees_with_the_log_loop_where_it_converges(self):
+        rng = np.random.default_rng(27)
+        compared = 0
+        for _ in range(12):
+            n, m = (int(k) for k in rng.integers(2, 17, size=2))
+            z = rng.uniform(0.0, 1.0, size=(n, m)) * rng.uniform(700.0, 1500.0)
+            mu, nu = rng.uniform(0.1, 1.0, size=n), rng.uniform(0.1, 1.0, size=m)
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            logged = reference_log_loop(z, mu, nu, 20000, 1e-9)
+            if not logged[1]:
+                continue
+            compared += 1
+            plan = _newton(z, mu, nu, 5000, tol=1e-9)
+            assert plan.converged
+            _assert_same_optimum(plan.matrix, logged[0], 1e-9)
+        assert compared >= 10
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_matches_the_linear_program_at_small_epsilon(self, size):
+        rng = np.random.default_rng(28 + size)
+        cost = rng.uniform(0.0, 1.0, size=(size, size))
+        mu, nu = rng.uniform(0.2, 1.0, size=size), rng.uniform(0.2, 1.0, size=size)
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        plan = _newton(cost / 1e-4, mu, nu, 5000, tol=1e-9)
+        assert plan.converged
+        assert 0.5 * np.abs(plan.matrix - lp_transport(cost, mu, nu)).sum() < 1e-6
+
+    def test_one_iteration_reports_its_own_error(self):
+        z, mu, nu = _matching_problem(np.random.default_rng(29), 16)
+        plan = _newton(z, mu, nu, 1)
+        assert not plan.converged
+        assert plan.iterations == 1
+        assert plan.marginal_error > 1e-6
+
+    def test_repeated_calls_are_bit_identical(self):
+        z, mu, nu = _matching_problem(np.random.default_rng(30), 16)
+        first, second = _newton(z, mu, nu, 5000), _newton(z, mu, nu, 5000)
+        np.testing.assert_array_equal(first.matrix, second.matrix)
+        assert (first.iterations, first.marginal_error) == (second.iterations, second.marginal_error)
+
+    def test_failed_line_searches_fall_back_to_sinkhorn_sweeps(self, monkeypatch):
+        # With no trial step allowed every step is a Sinkhorn sweep, so the
+        # loop is plain Sinkhorn with an epsilon schedule: it still ends on
+        # the optimum.
+        monkeypatch.setattr(transport, "MAX_HALVINGS", 0)
+        z, mu, nu = _problem(np.random.default_rng(31), 12, 6, False, 400.0)
+        plan = _newton(z, mu, nu, 5000, tol=1e-9)
+        assert plan.converged
+        logged = reference_log_loop(z, mu, nu, 5000, 1e-9)
+        assert logged[1]
+        _assert_same_optimum(plan.matrix, logged[0], 1e-9)
+
+    def test_stage_sweeps_move_potentials_across_wide_gaps(self):
+        # One row with mass: it must send 1 - 4e-6 of it to a column 664
+        # kernel units beyond its cheapest. Each stage's opening Sinkhorn
+        # sweep sets that column's potential exactly; Newton steps alone,
+        # capped at MAX_STEP, took over 700 steps to cross the gap.
+        z = np.array([[29.0, 693.5, 747.5], [765.3, 57.1, 356.6]])
+        mu = np.array([1.0, 0.0])
+        nu = np.array([4e-6, 1.0 - 4e-6 - 1e-149, 1e-149])
+        plan = _newton(z, mu, nu, 5000)
+        assert plan.converged
+        assert plan.iterations <= 20
+
+    def test_random_problems_with_empty_and_tiny_atoms_converge(self):
+        # Matching-shaped costs with empty components at the origin, uniform
+        # and spread costs at epsilon 1e-3 to 1, and marginals where a
+        # quarter of the atoms carry no mass and a quarter 1e-5 to 1e-300.
+        rng = np.random.default_rng(32)
+        for trial in range(600):
+            n, m = (int(k) for k in rng.integers(2, 17, size=2))
+            if trial % 3 == 0:
+                cost = rng.uniform(0.0, 1.0, size=(n, m))
+                epsilon = 10.0 ** rng.uniform(-3.0, 0.0)
+            elif trial % 3 == 1:
+                p, q = rng.normal(0.0, 0.5, size=(n, 32)), rng.normal(0.0, 0.5, size=(m, 32))
+                p[rng.random(n) < 0.4] = 0.0
+                q[rng.random(m) < 0.4] = 0.0
+                cost = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+                epsilon = 0.01
+            else:
+                cost = rng.uniform(0.0, 1.0, size=(n, m)) ** 2 * 10.0 ** rng.uniform(0.0, 3.0)
+                epsilon = 10.0 ** rng.uniform(-3.0, -1.0)
+            marginals = []
+            for size in (n, m):
+                w = rng.uniform(0.05, 1.0, size=size)
+                tiny = rng.random(size) < 0.25
+                w[tiny] = 10.0 ** -rng.uniform(5.0, 300.0, size=int(tiny.sum()))
+                w[rng.random(size) < 0.25] = 0.0
+                if not np.any(w > 1e-3):
+                    w[rng.integers(size)] = 1.0
+                marginals.append(w / w.sum())
+            mu, nu = marginals
+            tol = 1e-6 if trial % 2 else 1e-9
+            plan = sinkhorn(cost, mu, nu, epsilon=epsilon, max_iter=5000, tol=tol)
+            assert plan.converged, trial
+            assert plan.iterations <= 200, trial
+            _assert_honest(plan, mu, nu, tol)
 
 
 def test_call_sites_bind_the_public_solver():
