@@ -116,11 +116,15 @@ def local_descriptor(cloud: PointCloud, config: FeatureConfig = FeatureConfig())
     raw second moments. Columns are standardized over the cloud before the
     lift so no single statistic dominates by sheer dynamic range.
     """
-    pts = cloud.points
+    return _descriptor(cloud.points, config, *_knn_indices(cloud.points, config.k_neighbors))
+
+
+def _descriptor(
+    pts: np.ndarray, config: FeatureConfig, order: np.ndarray, knn_dist: np.ndarray
+) -> np.ndarray:
+    """`local_descriptor` given the k-NN indices and distances of pts."""
     n = pts.shape[0]
     k = config.k_neighbors
-    order, knn_dist = _knn_indices(pts, k)
-
     group = np.concatenate([pts[:, None, :], pts[order]], axis=1)  # (N, k+1, 3)
     center = group.mean(axis=1)
     spread = group - center[:, None, :]
@@ -168,10 +172,13 @@ def spherical_positional_encoding(
     use atan2 of the cross/dot pair, which stays accurate near 0 and pi; a
     radial vector of length ~0 contributes angle 0.
     """
-    pts = cloud.points
-    k = config.k_neighbors
-    order, _ = _knn_indices(pts, k)
+    order, _ = _knn_indices(cloud.points, config.k_neighbors)
+    return _positional(cloud.points, config, order)
 
+
+def _positional(pts: np.ndarray, config: FeatureConfig, order: np.ndarray) -> np.ndarray:
+    """`spherical_positional_encoding` given the k-NN indices of pts."""
+    k = config.k_neighbors
     radial = pts - pts.mean(axis=0)
     r = np.linalg.norm(radial, axis=1)
     nbr = radial[order]  # (N, k, 3)
@@ -185,11 +192,14 @@ def spherical_positional_encoding(
     phi = SeededMlp([1, config.d], seed=int(seeds[1]), final_relu=True)
     psi = SeededMlp([1, config.d], seed=int(seeds[2]), final_relu=True)
     radial_code = phi(r[:, None])
-    angle_code = psi(angles.reshape(-1, 1)).reshape(len(cloud), k, config.d).max(axis=1)
+    angle_code = psi(angles.reshape(-1, 1)).reshape(len(pts), k, config.d).max(axis=1)
     return radial_code + angle_code
 
 
 def encode(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> PointCloud:
-    """Attach descriptor + positional features to the cloud."""
-    feats = local_descriptor(cloud, config) + spherical_positional_encoding(cloud, config)
+    """Attach descriptor + positional features to the cloud; both halves
+    share one k-NN search."""
+    pts = cloud.points
+    order, knn_dist = _knn_indices(pts, config.k_neighbors)
+    feats = _descriptor(pts, config, order, knn_dist) + _positional(pts, config, order)
     return cloud.with_features(feats)

@@ -79,12 +79,13 @@ class RegisterConfig:
     kmeans_max_iter: int = 50
     kmeans_tol: float = 1e-6
     sinkhorn_epsilon: float = 0.01
-    # The matching solve at this absolute epsilon takes the Newton loop of
-    # `transport.sinkhorn`: on 276 solves captured from desk pairs and the
-    # oracle arm of criteria 8 and 9 it converged every time, in 40-42
-    # iterations (median) and 55 at most, about 4.4 ms a solve at 8 or 16
-    # components on one core of a 2-vCPU Xeon. The budget is a backstop;
-    # `sinkhorn_converged` in the diagnostics says whether it was reached.
+    # The matching solve at this absolute epsilon is a cold solve of
+    # `transport.sinkhorn` (epsilon scaling): on 276 solves captured from
+    # desk pairs and the oracle arm of criteria 8 and 9 it converged every
+    # time, in 40-42 iterations (median) and 55 at most, about 4.4 ms a
+    # solve at 8 or 16 components on one core of a 2-vCPU Xeon. The budget
+    # is a backstop; `sinkhorn_converged` in the diagnostics says whether it
+    # was reached.
     sinkhorn_max_iter: int = 5000
     sinkhorn_tol: float = 1e-6
     overlap_mode: str = "predicted"
@@ -255,6 +256,9 @@ def _register_once(
     diagnostics["kmeans_sinkhorn_calls"] = sum(r.sinkhorn_calls for r in kmeans_runs)
     diagnostics["kmeans_sinkhorn_iterations"] = sum(r.sinkhorn_iterations for r in kmeans_runs)
     diagnostics["kmeans_sinkhorn_unconverged"] = sum(r.sinkhorn_unconverged for r in kmeans_runs)
+    diagnostics["kmeans_sinkhorn_marginal_error_max"] = max(
+        r.sinkhorn_marginal_error_max for r in kmeans_runs
+    )
     if plan is not None:
         diagnostics["sinkhorn_iterations"] = int(plan.iterations)
         diagnostics["sinkhorn_converged"] = bool(plan.converged)

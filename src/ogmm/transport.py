@@ -1,27 +1,21 @@
 """Entropy-regularized optimal transport.
 
-`sinkhorn` runs one of two loops. Where the kernel exp(-C/eps) fits in
-float64 with room to spare, the scaling loop runs Sinkhorn on that kernel
-alone (shifted so every row and column holds a 1), two matrix-vector
-products per iteration; the balanced k-means assignment lands there.
-Elsewhere, for small epsilon where the kernel underflows (the component
-matching) or when a marginal has zero-mass entries, a damped Newton method
-on the entropic dual, warm-started by epsilon scaling, solves the same
-problem to convergence in a few dozen steps. Zero-mass marginal entries are
-legal; their plan rows/columns are exactly zero.
+`sinkhorn` solves every problem with one loop: a damped Newton method on the
+entropic dual in the column log-potentials (Brauer et al. 2017), the rows
+being met exactly by a log-domain row update. A cold solve reaches the
+configured epsilon by epsilon scaling from the cost range; a solve given
+starting column potentials (`init`) starts at the configured epsilon, as
+each Lloyd step of the balanced k-means does from the last step's
+potentials. Zero-mass marginal entries are legal; their plan rows/columns
+are exactly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-
-# Largest dynamic range the scaling loop accepts (see `sinkhorn`). Every
-# scaling, kernel entry, product and partial sum of that loop then lies in
-# [e^-(2 * bound), e^(2 * bound)] = [e^-700, e^700], inside float64's normal
-# range [e^-708.4, e^709.8].
-SCALING_RANGE_MAX = 350.0
 
 # The Newton loop (see `_newton_loop`). Epsilon falls by EPSILON_STEP per
 # stage; every stage but the last stops at STAGE_TOL. At 1e-2 or 1e-3 a
@@ -47,13 +41,17 @@ class TransportPlan:
 
     matrix[i, j] is the mass moved from row atom i to column atom j; rows
     sum to the row marginal and columns to the column marginal, up to
-    `marginal_error` (the L1 violation at the last iteration).
+    `marginal_error`, the summed L1 violation of both marginals recomputed
+    from the returned matrix. potentials are the final column potentials in
+    cost units (zero on zero-mass columns), the `init` that warm-starts a
+    solve of a nearby problem.
     """
 
     matrix: np.ndarray
     converged: bool
     iterations: int
     marginal_error: float
+    potentials: Optional[np.ndarray] = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -66,6 +64,12 @@ class TransportPlan:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        if self.potentials is not None:
+            p = np.array(self.potentials, dtype=np.float64)
+            if p.shape != (m.shape[1],):
+                raise ValueError(f"potentials must have shape ({m.shape[1]},), got {p.shape}")
+            p.flags.writeable = False
+            object.__setattr__(self, "potentials", p)
 
 
 def _validate_marginal(w, size: int, name: str) -> np.ndarray:
@@ -82,168 +86,141 @@ def _validate_marginal(w, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def _scaling_start(z: np.ndarray, mu: np.ndarray, nu: np.ndarray):
-    """Kernel and first column scaling for `_scaling_loop`, or None where
-    that loop could leave float64's normal range.
-
-    z is cost/epsilon, mu and nu are probability vectors. z is shifted by
-    its row minima r, then by the column minima s of the result, so the
-    kernel exp(-(z - r - s)) lies in [e^-R, 1] with a 1 in every row and
-    column. Starting from column potentials zero, as the log-domain
-    Sinkhorn loop does, means the column scaling exp(-s) in this gauge; an
-    entry of it that underflows belongs to a column whose kernel entries
-    sit below e^-708 of the row's 1, so the first row update is unaffected.
-    """
-    if not (np.all(mu > 0) and np.all(nu > 0)):
-        return None
-    shifted = z - z.min(axis=1, keepdims=True)
-    col_min = shifted.min(axis=0)
-    shifted -= col_min
-    n, m = z.shape
-    dynamic_range = (
-        float(shifted.max())
-        + float(np.log(mu.max() / mu.min()))
-        + float(np.log(nu.max() / nu.min()))
-        + float(np.log(n * m))
-    )
-    if dynamic_range > SCALING_RANGE_MAX:
-        return None
-    np.negative(shifted, out=shifted)
-    np.exp(shifted, out=shifted)
-    return shifted, np.exp(-col_min)
-
-
-def _scaling_loop(kernel, b, mu, nu, max_iter: int, tol: float):
-    """Sinkhorn on the scalings: a = mu / (K b), b = nu / (K^T a).
-
-    Returns (plan, converged, iterations, marginal_error) for unit mass. The
-    error is the row violation a * (K b) - mu, read from the K b the next
-    row update needs: after each column update the column marginal is met
-    up to rounding.
-    """
-    kernel_t = np.ascontiguousarray(kernel.T)
-    kb = kernel @ b
-    converged = False
-    iterations = 0
-    err = np.inf
-    for iterations in range(1, max_iter + 1):
-        a = mu / kb
-        b = nu / (kernel_t @ a)
-        kb = kernel @ b
-        err = float(np.abs(a * kb - mu).sum())
-        if err <= tol:
-            converged = True
-            break
-    plan = kernel * a[:, None]
-    plan *= b[None, :]
-    return plan, converged, iterations, err
-
-
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     """log sum exp of x along axis, shifted by the max so exp stays finite."""
     shift = x.max(axis=axis)
     return np.log(np.exp(x - np.expand_dims(shift, axis)).sum(axis=axis)) + shift
 
 
-def _sweep(b: np.ndarray, zs: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+# The loop below holds z, the plan and pi transposed, as contiguous (m, n)
+# arrays: in the tall k-means case (many points, few clusters) every
+# reduction over a row's m entries then runs elementwise across m long rows
+# instead of along a short inner axis, about halving a sweep and a plan.
+
+
+def _sweep(b: np.ndarray, zt: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """One Sinkhorn iteration in the log domain: the row update, then the
     column update; returns the new column log-potentials."""
-    a = np.log(mu) - _lse(b - zs, axis=1)
-    return np.log(nu) - _lse(a[:, None] - zs, axis=0)
+    a = np.log(mu) - _lse(b[:, None] - zt, axis=0)
+    return np.log(nu) - _lse(a - zt, axis=1)
 
 
-def _row_plan(b: np.ndarray, zs: np.ndarray, mu: np.ndarray):
+def _row_plan(b: np.ndarray, zt: np.ndarray, mu: np.ndarray):
     """The plan of the column log-potentials b with the row marginal met by
-    an exact row update, as (row-stochastic pi, plan = mu * pi)."""
-    pi = b - zs
-    pi -= pi.max(axis=1, keepdims=True)
+    an exact row update, as (row-stochastic pi, plan = mu * pi), both
+    transposed."""
+    pi = b[:, None] - zt
+    pi -= pi.max(axis=0)
     np.exp(pi, out=pi)
-    pi /= pi.sum(axis=1, keepdims=True)
-    return pi, pi * mu[:, None]
+    pi /= pi.sum(axis=0)
+    return pi, pi * mu
 
 
-def _violation(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
-    """Summed L1 violation of both marginals."""
-    return float(np.abs(plan.sum(axis=1) - mu).sum() + np.abs(plan.sum(axis=0) - nu).sum())
+def _violation(plan_t: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+    """Summed L1 violation of both marginals by a transposed plan."""
+    return float(np.abs(plan_t.sum(axis=0) - mu).sum() + np.abs(plan_t.sum(axis=1) - nu).sum())
 
 
-def _newton_step(pi: np.ndarray, plan: np.ndarray, mu: np.ndarray, nu: np.ndarray):
-    """Damped Newton ascent step on the column log-potentials b, or None.
+def _newton_step(pi: np.ndarray, plan: np.ndarray, grad: np.ndarray, mu: np.ndarray, nu: np.ndarray):
+    """Damped Newton ascent step on the column log-potentials b, or None;
+    pi and plan are transposed, grad = nu - P^T 1.
 
     With rows met by the exact row update, the dual is the concave
-    phi(b) = <b, nu> - sum_i mu_i log sum_j exp(b_j - zs_ij), with gradient
-    nu - P^T 1 and Hessian -(diag(P^T 1) - P^T diag(1/mu) P): the system
+    phi(b) = <b, nu> - sum_i mu_i log sum_j exp(b_j - z_ij), with gradient
+    grad and Hessian -(diag(P^T 1) - P^T diag(1/mu) P): the system
     [diag(P 1) P; P^T diag(P^T 1)] with its row block diag(mu) eliminated.
     That is the Laplacian of the columns weighted by W = P^T diag(1/mu) P,
     built from W's off-diagonal entries so no diagonal entry cancels. The
     last column's potential stays fixed (phi is invariant to a shift).
     """
-    grad = nu - plan.sum(axis=0)
-    weights = plan.T @ pi
-    np.fill_diagonal(weights, 0.0)
-    system = -weights[:-1, :-1]
-    system[np.diag_indices_from(system)] = weights[:-1].sum(axis=1) + RIDGE
+    m = grad.size
+    system = plan @ pi.T
+    diagonal = system.reshape(-1)[:: m + 1]
+    diagonal[:] = 0.0
+    degree = system.sum(axis=1)
+    np.negative(system, out=system)
+    diagonal[:] = degree + RIDGE
     step = np.zeros_like(grad)
-    step[:-1] = np.linalg.solve(system, grad[:-1])
+    step[:-1] = np.linalg.solve(system[:-1, :-1], grad[:-1])
     slope = float(grad @ step)
+    step_nu = float(step @ nu)
     t = MAX_STEP / max(float(np.abs(step).max()), MAX_STEP)
     for _ in range(MAX_HALVINGS):
         # phi(b + t step) - phi(b), kept precise as the step shrinks:
         # log sum_j pi_ij exp(t step_j) = log1p(pi @ expm1(t step)).
-        gain = t * float(step @ nu) - float(mu @ np.log1p(pi @ np.expm1(t * step)))
+        gain = t * step_nu - float(mu @ np.log1p(np.expm1(t * step) @ pi))
         if gain >= ARMIJO * t * slope:
             return t * step
         t *= 0.5
     return None
 
 
-def _newton_loop(z: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, tol: float):
-    """Damped Newton ascent on the entropic dual with epsilon scaling, for
-    any z = cost/epsilon (Brauer et al. 2017; Schmitzer 2019).
+def _newton_loop(z: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, tol: float,
+                 init: Optional[np.ndarray]):
+    """Damped Newton ascent on the entropic dual for any z = cost/epsilon
+    (Brauer et al. 2017), cold with epsilon scaling (Schmitzer 2019) or
+    warm from the column potentials init (in units of epsilon).
 
     It works on the marginals' support, on the column log-potentials b; an
-    exact row update gives the rows. Epsilon starts at the cost range and
-    falls by EPSILON_STEP per stage, b carrying over in cost units. Each
-    stage opens with a Sinkhorn sweep, which puts every column potential at
-    its maximizer given the rows, then takes Newton steps until the summed
-    L1 violation of both marginals is at most STAGE_TOL (tol in the last
-    stage). `iterations` counts sweeps and steps; max_iter bounds them.
+    exact row update gives the rows, so only the columns can be violated.
+    Cold, epsilon starts at the cost range and falls by EPSILON_STEP per
+    stage, b carrying over in cost units; warm, the one stage runs at the
+    configured epsilon from init. Each stage opens with a Sinkhorn sweep,
+    which puts every column potential at its maximizer given the rows, then
+    takes Newton steps until the L1 column violation is at most STAGE_TOL
+    (tol in the last stage). `iterations` counts sweeps and steps; max_iter
+    bounds them.
 
-    Returns (plan, converged, iterations, marginal_error) for unit mass,
-    the plan built at the configured epsilon from the last potentials (the
-    budget may run out in an earlier stage) and the error recomputed from
-    it. Rows and columns of zero mass are exactly zero.
+    Returns (plan, converged, iterations, marginal_error, potentials) for
+    unit mass: the plan at the configured epsilon of the last potentials
+    (the budget may run out in an earlier stage), the summed L1 violation
+    of both marginals recomputed from it, and b in units of epsilon (zero
+    on zero-mass columns). Rows and columns of zero mass are exactly zero.
     """
     rows, cols = mu > 0, nu > 0
-    z = z[np.ix_(rows, cols)]
-    z = z - z.min()
+    support = bool(rows.all() and cols.all())
+    zt = z.T if support else z[np.ix_(rows, cols)].T
+    zt = np.subtract(zt, zt.min(), order="C")
     mu_s, nu_s = mu[rows], nu[cols]
-    # Stage epsilon over the configured one; b is in units of the stage's.
-    scale = max(float(z.max()), 1.0)
-    b = np.zeros(nu_s.size)
+    if init is None:
+        # Stage epsilon over the configured one; b is in units of the stage's.
+        scale = max(float(zt.max()), 1.0)
+        b = np.zeros(nu_s.size)
+    else:
+        scale = 1.0
+        b = init[cols]
     iterations = 0
     while True:
-        zs = z / scale
+        zs = zt / scale if scale != 1.0 else zt
         stage_tol = tol if scale == 1.0 else max(STAGE_TOL, tol)
         b = _sweep(b, zs, mu_s, nu_s)
         iterations += 1
+        plan = None
         while iterations < max_iter:
             pi, plan = _row_plan(b, zs, mu_s)
-            if _violation(plan, mu_s, nu_s) <= stage_tol:
+            grad = nu_s - plan.sum(axis=1)
+            if float(np.abs(grad).sum()) <= stage_tol:
                 break
             iterations += 1
-            step = _newton_step(pi, plan, mu_s, nu_s)
+            step = _newton_step(pi, plan, grad, mu_s, nu_s)
             b = _sweep(b, zs, mu_s, nu_s) if step is None else b + step
+            plan = None
         if scale == 1.0 or iterations == max_iter:
             break
         shrunk = max(scale / EPSILON_STEP, 1.0)
         b *= scale / shrunk
         scale = shrunk
-    _, plan = _row_plan(b * scale, z, mu_s)
+    b *= scale
+    if plan is None or scale != 1.0:
+        _, plan = _row_plan(b, zt, mu_s)
     err = _violation(plan, mu_s, nu_s)
+    potentials = np.zeros(cols.size)
+    potentials[cols] = b
+    if support:
+        return plan.T, err <= tol, iterations, err, potentials
     full = np.zeros((rows.size, cols.size))
-    full[np.ix_(rows, cols)] = plan
-    return full, err <= tol, iterations, err
+    full[np.ix_(rows, cols)] = plan.T
+    return full, err <= tol, iterations, err, potentials
 
 
 def sinkhorn(
@@ -253,6 +230,7 @@ def sinkhorn(
     epsilon: float = 0.01,
     max_iter: int = 1000,
     tol: float = 1e-6,
+    init: Optional[np.ndarray] = None,
 ) -> TransportPlan:
     """Solve min_P <P, cost> - epsilon * H(P) over couplings of the marginals.
 
@@ -263,40 +241,30 @@ def sinkhorn(
     `marginal_error`, is at most tol. The last iterate's plan is returned
     even when the iteration budget runs out (converged=False).
 
-    Two loops solve the problem:
+    One loop (`_newton_loop`) solves every problem: it ascends the dual in
+    the column log-potentials with damped Newton steps, the rows being met
+    exactly by a log-domain row update, and stops once the column violation
+    is at most tol; `marginal_error` is then recomputed over both marginals
+    from the returned plan. `iterations` counts Sinkhorn sweeps and Newton
+    steps.
 
-    - The scaling loop (two matrix-vector products per iteration) runs when
-      both marginals are strictly positive and the dynamic range
-      Lambda = R + log(max mu / min mu) + log(max nu / min nu) + log(n m)
-      is at most SCALING_RANGE_MAX = 350, R being the largest entry of
-      cost/epsilon after shifting it by its row minima and then by its
-      column minima. The kernel then lies in [e^-R, 1] with a 1 in every
-      row and column. One iteration, as a map of the column scaling b, is
-      homogeneous of degree one and order preserving, so it never moves b
-      further (in max |log| ratio) from the ray of fixed points than b
-      already is. Bounding the first iterate and the spread of a fixed
-      point then puts every scaling, kernel product and partial sum in
-      [e^-2 Lambda, e^2 Lambda], inside float64's normal range. The
-      balanced k-means assignment step, whose epsilon is a fraction of the
-      mean cost, lands here: over 1305 such calls captured from both
-      benchmark workloads, Lambda was 231 at most. Its `marginal_error` is
-      the row violation alone, read from the quantity the next row update
-      needs; the column marginal is met up to rounding after each
-      iteration, and the plan is built once, after the last.
-    - The Newton loop (`_newton_loop`) runs for every other input: small
-      absolute epsilon (the component matching, whose range runs into the
-      thousands) and any zero-mass marginal entry. It ascends the dual in
-      the column log-potentials, the rows being met exactly by a log-domain
-      row update, with damped Newton steps; epsilon falls from the cost
-      range to the configured one by a factor 4 per stage, each stage
-      starting from the last one's potentials. Its `iterations` counts
-      Sinkhorn sweeps and Newton steps, and its `marginal_error` is
-      recomputed from the returned plan. On 276 captured matching solves
-      (8x8 and 16x16 at epsilon 0.01, from desk pairs and from the oracle
-      arm of criteria 8 and 9) it converged every time, in 40-42
-      iterations (median) and 55 at most, about 4.4 ms a solve on one core
-      of a 2-vCPU Xeon; plain Sinkhorn ended most of them unconverged at
-      5000 iterations.
+    - Cold (init None), epsilon falls from the cost range to the configured
+      one by a factor 4 per stage, each stage starting from the last one's
+      potentials. The component matching solves this way: on 276 captured
+      matching solves (8x8 and 16x16 at epsilon 0.01, from desk pairs and
+      from the oracle arm of criteria 8 and 9) it converged every time, in
+      40-42 iterations (median) and 55 at most, about 4.4 ms a solve on one
+      core of a 2-vCPU Xeon; plain Sinkhorn ended most of them unconverged
+      at 5000 iterations.
+    - Warm, init holds starting column potentials in cost units (the
+      `potentials` of an earlier plan, or zeros), and the loop starts at
+      the configured epsilon from them. Cost units carry over between
+      problems whose epsilon differs, and a constant shift of the cost is
+      absorbed by the row update. Each Lloyd step of the balanced k-means
+      starts from the last step's potentials this way (the first from
+      zeros): over 6034 such solves (up to 512x16, tol 1e-4) from traced
+      desk and criterion-1 benchmark runs, every one converged, in 3
+      iterations (median) and 26 at most.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -315,14 +283,18 @@ def sinkhorn(
         raise ValueError(
             f"marginals must carry equal mass, got {mass_mu!r} vs {mass_nu!r}"
         )
+    if init is not None:
+        init = np.asarray(init, dtype=np.float64)
+        if init.shape != (m,):
+            raise ValueError(f"init must have shape ({m},), got {init.shape}")
+        if not np.all(np.isfinite(init)):
+            raise ValueError("init contains non-finite values")
+        init = init / epsilon
     mu = mu / mass_mu
     nu = nu / mass_nu
 
-    z = c / epsilon
-    start = _scaling_start(z, mu, nu)
-    if start is None:
-        plan, converged, iterations, err = _newton_loop(z, mu, nu, max_iter, tol)
-    else:
-        plan, converged, iterations, err = _scaling_loop(*start, mu, nu, max_iter, tol)
+    plan, converged, iterations, err, potentials = _newton_loop(
+        c / epsilon, mu, nu, max_iter, tol, init
+    )
     plan *= mass_mu
-    return TransportPlan(plan, converged, iterations, err)
+    return TransportPlan(plan, converged, iterations, err, potentials * epsilon)

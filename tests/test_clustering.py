@@ -290,8 +290,9 @@ class TestSoftAssignment:
 
 
 class TestKmeansSinkhornCounters:
-    """The k-means runs count their transport solves; the counts must match
-    what the solver itself returned."""
+    """The k-means runs count their transport solves and keep the largest
+    marginal error; the figures must match what the solver itself
+    returned."""
 
     @staticmethod
     def _watch(monkeypatch):
@@ -300,7 +301,7 @@ class TestKmeansSinkhornCounters:
 
         def counting(*args, **kwargs):
             plan = real(*args, **kwargs)
-            seen.append((plan.iterations, plan.converged))
+            seen.append((plan.iterations, plan.converged, plan.marginal_error))
             return plan
 
         monkeypatch.setattr(ogmm.clustering, "sinkhorn", counting)
@@ -310,16 +311,25 @@ class TestKmeansSinkhornCounters:
     def _totals(seen):
         return (
             len(seen),
-            sum(iterations for iterations, _ in seen),
-            sum(not converged for _, converged in seen),
+            sum(iterations for iterations, _, _ in seen),
+            sum(not converged for _, converged, _ in seen),
+            max(error for _, _, error in seen),
+        )
+
+    @staticmethod
+    def _counts(run):
+        return (
+            run.sinkhorn_calls,
+            run.sinkhorn_iterations,
+            run.sinkhorn_unconverged,
+            run.sinkhorn_marginal_error_max,
         )
 
     def test_kmeans_counts_its_solves(self, monkeypatch):
         seen = self._watch(monkeypatch)
         cloud = sample_shape("composite", 300, seed=4)
         result = wasserstein_kmeans(cloud, 12, seed=0)
-        counts = (result.sinkhorn_calls, result.sinkhorn_iterations, result.sinkhorn_unconverged)
-        assert counts == self._totals(seen)
+        assert self._counts(result) == self._totals(seen)
         assert result.sinkhorn_calls >= result.n_iter >= 1
 
     def test_soft_assignment_carries_its_kmeans(self, monkeypatch):
@@ -327,9 +337,7 @@ class TestKmeansSinkhornCounters:
         feats = np.random.default_rng(24).normal(size=(120, 8))
         soft = soft_assignment(feats, 6, seed=1)
         run = soft.kmeans
-        assert (run.sinkhorn_calls, run.sinkhorn_iterations, run.sinkhorn_unconverged) == (
-            self._totals(seen)
-        )
+        assert self._counts(run) == self._totals(seen)
         np.testing.assert_array_equal(run.centroids, soft.centroids)
 
     @pytest.mark.parametrize("starts", [1, 3])
@@ -356,5 +364,24 @@ class TestKmeansSinkhornCounters:
             diagnostics["kmeans_sinkhorn_calls"],
             diagnostics["kmeans_sinkhorn_iterations"],
             diagnostics["kmeans_sinkhorn_unconverged"],
+            diagnostics["kmeans_sinkhorn_marginal_error_max"],
         ) == expected
         assert expected[0] >= 4
+
+
+def test_each_lloyd_step_starts_from_the_last_steps_potentials(monkeypatch):
+    calls = []
+    real = ogmm.clustering.sinkhorn
+
+    def watching(*args, init=None, **kwargs):
+        plan = real(*args, init=init, **kwargs)
+        calls.append((np.array(init), plan.potentials))
+        return plan
+
+    monkeypatch.setattr(ogmm.clustering, "sinkhorn", watching)
+    result = wasserstein_kmeans(sample_shape("composite", 300, seed=4), 12, seed=0)
+    assert len(calls) == result.sinkhorn_calls >= 3
+    np.testing.assert_array_equal(calls[0][0], np.zeros(12))
+    for (_, previous), (init, _) in zip(calls, calls[1:]):
+        np.testing.assert_array_equal(init, previous)
+    assert result.sinkhorn_unconverged == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ogmm import features
 from ogmm.features import (
     FeatureConfig,
     SeededMlp,
@@ -215,12 +216,23 @@ class TestEncode:
         cloud = sample_shape("box", 70, 6)
         cfg = FeatureConfig(d=12)
         enc = encode(cloud, cfg)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             enc.features,
             local_descriptor(cloud, cfg) + spherical_positional_encoding(cloud, cfg),
-            atol=1e-12,
         )
         np.testing.assert_array_equal(enc.points, cloud.points)
+
+    def test_one_neighbor_search_per_cloud(self, monkeypatch):
+        calls = []
+        real = features._knn_indices
+
+        def counting(points, k):
+            calls.append(k)
+            return real(points, k)
+
+        monkeypatch.setattr(features, "_knn_indices", counting)
+        encode(sample_shape("box", 70, 6), FeatureConfig(d=12, k_neighbors=7))
+        assert calls == [7]
 
     def test_encoded_features_invariant_under_motion(self):
         cloud = sample_shape("composite", 90, 7)

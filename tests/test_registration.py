@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 import ogmm
 
+from ogmm.bench import BenchConfig
+from ogmm.clustering import SINKHORN_TOL
 from ogmm.geometry import (
     EulerAnglesDeg,
     RigidTransform,
@@ -258,6 +261,44 @@ class TestRegister:
             np.array(payload["rotation"]).reshape(3, 3), payload["translation"]
         )
         assert np.allclose(rebuilt.rotation, result.transform.rotation)
+
+
+def _desk_pairs(count):
+    """The first `count` cells of the desk bench, trial 0, with their configs."""
+    bench = BenchConfig.desk()
+    for cell in bench.cells()[:count]:
+        pair = make_pair(bench.pair_spec(cell, 0), bench.shape_kind)
+        yield pair.source, pair.target, replace(bench.register, n_components=cell.n_components)
+
+
+def _identical_pairs(count):
+    """Criterion 1's first `count` pairs: a cloud and its own rigid motion."""
+    config = RegisterConfig.desk(overlap_mode="ones", starts=1)
+    for seed in range(count):
+        cloud = sample_shape("composite", 512, seed=seed)
+        yield cloud, apply_transform(random_transform(seed), cloud), config
+
+
+@pytest.mark.parametrize(
+    "pairs, count", [(_desk_pairs, 3), (_identical_pairs, 5)], ids=["desk", "identical"]
+)
+def test_every_kmeans_solve_converges(monkeypatch, pairs, count):
+    """Warm-started from the last Lloyd step, every balanced k-means solve
+    of every start converges within its budget, and the chosen start's
+    diagnostics say so."""
+    solves = []
+    real = ogmm.clustering.sinkhorn
+
+    def watching(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(ogmm.clustering, "sinkhorn", watching)
+    for source, target, config in pairs(count):
+        diagnostics = register(source, target, config).diagnostics
+        assert diagnostics["kmeans_sinkhorn_unconverged"] == 0
+        assert 0.0 <= diagnostics["kmeans_sinkhorn_marginal_error_max"] <= SINKHORN_TOL
+    assert solves and all(plan.converged for plan in solves)
 
 
 class TestIcpBaseline:
