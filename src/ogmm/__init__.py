@@ -11,7 +11,7 @@ from .attention import (
     overlap_scores,
 )
 from .clustering import ClusterAssignment, SoftAssignment, soft_assignment, wasserstein_kmeans
-from .features import FeatureConfig, SeededMlp, encode, local_descriptor, spherical_positional_encoding
+from .features import FeatureConfig, SeededMlp, encode, local_descriptor
 from .geometry import (
     DegenerateGeometryError,
     EulerAnglesDeg,

@@ -1,11 +1,10 @@
-"""Per-point descriptors: local shape statistics plus a radial/angular
-positional code.
+"""Per-point descriptors: local shape statistics lifted by a seeded MLP.
 
-All inputs to the seeded MLPs are rigid-motion invariant (distances,
-eigenvalues, angles), so the resulting features are invariant too; moving a
-cloud never changes its feature matrix beyond float noise. Two clouds
-encoded with the same seed share the exact same MLP weights, which is what
-makes features comparable across a registration pair.
+All inputs to the MLP are rigid-motion invariant (distances and covariance
+eigenvalues), so the resulting features are invariant too; moving a cloud
+never changes its feature matrix beyond float noise. Two clouds encoded
+with the same seed share the exact same MLP weights, which is what makes
+features comparable across a registration pair.
 """
 
 from __future__ import annotations
@@ -38,16 +37,15 @@ class SeededMlp:
     Weights and biases are drawn from U(-a, a) with a = sqrt(6/(fan_in +
     fan_out)) using a generator seeded at construction, so a (dims, seed)
     pair always denotes the same function. ReLU follows every layer but the
-    last; final_relu=True appends one after the last layer too.
+    last.
     """
 
-    def __init__(self, dims, seed: int, final_relu: bool = False):
+    def __init__(self, dims, seed: int):
         dims = tuple(int(d) for d in dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValueError(f"dims must list at least two positive sizes, got {dims}")
         rng = np.random.default_rng(seed)
         self.dims = dims
-        self.final_relu = bool(final_relu)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(dims, dims[1:]):
@@ -56,8 +54,8 @@ class SeededMlp:
             self.biases.append(rng.uniform(-a, a, size=fan_out))
 
     @classmethod
-    def zeros(cls, dims, final_relu: bool = False) -> "SeededMlp":
-        mlp = cls(dims, seed=0, final_relu=final_relu)
+    def zeros(cls, dims) -> "SeededMlp":
+        mlp = cls(dims, seed=0)
         mlp.weights = [np.zeros_like(w) for w in mlp.weights]
         mlp.biases = [np.zeros_like(b) for b in mlp.biases]
         return mlp
@@ -69,15 +67,9 @@ class SeededMlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w + b
-            if i < last or self.final_relu:
+            if i < last:
                 h = np.maximum(h, 0.0)
         return h
-
-
-def _mlp_seeds(mlp_seed: int) -> np.ndarray:
-    # One sub-seed per MLP so the descriptor and the two positional encoders
-    # never share weights even though they share the config seed.
-    return np.random.SeedSequence(mlp_seed).generate_state(3)
 
 
 def _knn_indices(points: np.ndarray, k: int):
@@ -116,15 +108,10 @@ def local_descriptor(cloud: PointCloud, config: FeatureConfig = FeatureConfig())
     raw second moments. Columns are standardized over the cloud before the
     lift so no single statistic dominates by sheer dynamic range.
     """
-    return _descriptor(cloud.points, config, *_knn_indices(cloud.points, config.k_neighbors))
-
-
-def _descriptor(
-    pts: np.ndarray, config: FeatureConfig, order: np.ndarray, knn_dist: np.ndarray
-) -> np.ndarray:
-    """`local_descriptor` given the k-NN indices and distances of pts."""
+    pts = cloud.points
     n = pts.shape[0]
     k = config.k_neighbors
+    order, knn_dist = _knn_indices(pts, k)
     group = np.concatenate([pts[:, None, :], pts[order]], axis=1)  # (N, k+1, 3)
     center = group.mean(axis=1)
     spread = group - center[:, None, :]
@@ -156,50 +143,11 @@ def _descriptor(
     # symmetric shapes) are left at zero rather than amplified.
     stats = (stats - stats.mean(axis=0)) / np.maximum(stats.std(axis=0), 1e-9)
     assert stats.shape == (n, k + 5)
-    seed = int(_mlp_seeds(config.mlp_seed)[0])
+    seed = int(np.random.SeedSequence(config.mlp_seed).generate_state(1)[0])
     mlp = SeededMlp([k + 5, config.d, config.d], seed=seed)
     return mlp(stats)
 
 
-def spherical_positional_encoding(
-    cloud: PointCloud, config: FeatureConfig = FeatureConfig()
-) -> np.ndarray:
-    """Positional code from distances and angles about the cloud mean.
-
-    Each point contributes its radial distance to the cloud mean through one
-    encoder and the largest response over the angles between its own radial
-    direction and those of its k nearest neighbors through another. Angles
-    use atan2 of the cross/dot pair, which stays accurate near 0 and pi; a
-    radial vector of length ~0 contributes angle 0.
-    """
-    order, _ = _knn_indices(cloud.points, config.k_neighbors)
-    return _positional(cloud.points, config, order)
-
-
-def _positional(pts: np.ndarray, config: FeatureConfig, order: np.ndarray) -> np.ndarray:
-    """`spherical_positional_encoding` given the k-NN indices of pts."""
-    k = config.k_neighbors
-    radial = pts - pts.mean(axis=0)
-    r = np.linalg.norm(radial, axis=1)
-    nbr = radial[order]  # (N, k, 3)
-    cross = np.linalg.norm(np.cross(radial[:, None, :], nbr), axis=2)
-    dot = np.einsum("ni,nki->nk", radial, nbr)
-    angles = np.arctan2(cross, dot)
-    degenerate = (r[:, None] < 1e-12) | (r[order] < 1e-12)
-    angles[degenerate] = 0.0
-
-    seeds = _mlp_seeds(config.mlp_seed)
-    phi = SeededMlp([1, config.d], seed=int(seeds[1]), final_relu=True)
-    psi = SeededMlp([1, config.d], seed=int(seeds[2]), final_relu=True)
-    radial_code = phi(r[:, None])
-    angle_code = psi(angles.reshape(-1, 1)).reshape(len(pts), k, config.d).max(axis=1)
-    return radial_code + angle_code
-
-
 def encode(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> PointCloud:
-    """Attach descriptor + positional features to the cloud; both halves
-    share one k-NN search."""
-    pts = cloud.points
-    order, knn_dist = _knn_indices(pts, config.k_neighbors)
-    feats = _descriptor(pts, config, order, knn_dist) + _positional(pts, config, order)
-    return cloud.with_features(feats)
+    """Attach the local descriptor to the cloud as its feature matrix."""
+    return cloud.with_features(local_descriptor(cloud, config))

@@ -177,8 +177,6 @@ def write_cloud(cloud: PointCloud, path, fmt: Optional[str] = None) -> None:
             fmt = "ply"
         else:
             raise ValueError(f"{path}: cannot infer format from extension")
-    if len(cloud) == 0:  # unreachable through PointCloud, kept as a guard
-        raise ValueError("refusing to write an empty cloud")
     # repr of a python float is the shortest exact round-trip form, which
     # keeps rewrites byte-identical and reads lossless.
     body = "\n".join(

@@ -57,12 +57,12 @@ class RegisterConfig:
     """All pipeline hyperparameters.
 
     Defaults follow the full-scale protocol (72 geometric clusters, 48
-    mixture components, 5-neighbor statistics, 4 attention heads, tau 0.1,
-    eta 0.1). desk() shrinks the cluster counts for fast interactive runs
-    and, because the seeded descriptor has no training to lean on, widens
-    the statistics neighborhood to 16 and takes the best of 3 clustering
-    restarts. d defaults to 32, which keeps the descriptor cheap while
-    leaving room to raise it.
+    mixture components, 5-neighbor statistics, 4 attention heads, tau 0.1).
+    desk() shrinks the cluster counts for fast interactive runs and, because
+    the seeded descriptor has no training to lean on, widens the statistics
+    neighborhood to 16 and takes the best of 3 clustering restarts. d
+    defaults to 32, which keeps the descriptor cheap while leaving room to
+    raise it.
     """
 
     d: int = 32
@@ -71,23 +71,10 @@ class RegisterConfig:
     attention_heads: int = 4
     attention_seed: int = 1
     tau: float = 0.1
-    eta: float = 0.1
     n_geo_clusters: int = 72
     n_components: int = 48
     temperature: float = 0.1
     cluster_seed: int = 2
-    kmeans_max_iter: int = 50
-    kmeans_tol: float = 1e-6
-    sinkhorn_epsilon: float = 0.01
-    # The matching solve at this absolute epsilon is a cold solve of
-    # `transport.sinkhorn` (epsilon scaling): on 276 solves captured from
-    # desk pairs and the oracle arm of criteria 8 and 9 it converged every
-    # time, in 40-42 iterations (median) and 55 at most, about 4.4 ms a
-    # solve at 8 or 16 components on one core of a 2-vCPU Xeon. The budget
-    # is a backstop; `sinkhorn_converged` in the diagnostics says whether it
-    # was reached.
-    sinkhorn_max_iter: int = 5000
-    sinkhorn_tol: float = 1e-6
     overlap_mode: str = "predicted"
     solver: str = "transport"
     starts: int = 1
@@ -178,14 +165,8 @@ def _register_once(
         enc_q = encode(target, fcfg)
 
     with _timed(stage_ms, "geometric_kmeans"):
-        geo_p = wasserstein_kmeans(
-            source, config.n_geo_clusters, config.cluster_seed,
-            max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
-        )
-        geo_q = wasserstein_kmeans(
-            target, config.n_geo_clusters, config.cluster_seed,
-            max_iter=config.kmeans_max_iter, tol=config.kmeans_tol,
-        )
+        geo_p = wasserstein_kmeans(source, config.n_geo_clusters, config.cluster_seed)
+        geo_q = wasserstein_kmeans(target, config.n_geo_clusters, config.cluster_seed)
 
     self_seed, cross_seed, head_seed = (
         int(s) for s in np.random.SeedSequence(config.attention_seed).generate_state(3)
@@ -228,12 +209,7 @@ def _register_once(
 
     if config.solver == "transport":
         with _timed(stage_ms, "matching"):
-            plan = match_components(
-                gmm_p, gmm_q,
-                epsilon=config.sinkhorn_epsilon,
-                max_iter=config.sinkhorn_max_iter,
-                tol=config.sinkhorn_tol,
-            )
+            plan = match_components(gmm_p, gmm_q)
         with _timed(stage_ms, "procrustes"):
             transform = weighted_svd(gmm_p.means, gmm_q.means, plan.matrix)
     else:

@@ -105,6 +105,13 @@ class TestConfigFromDict:
             config_from_dict({"trails": 5})
         with pytest.raises(BenchConfigError):
             config_from_dict({"register": {"n_componentz": 12}})
+        # Knobs RegisterConfig dropped are rejected, not silently ignored.
+        for removed in (
+            "eta", "kmeans_max_iter", "kmeans_tol",
+            "sinkhorn_epsilon", "sinkhorn_max_iter", "sinkhorn_tol",
+        ):
+            with pytest.raises(BenchConfigError, match=removed):
+                config_from_dict({"register": {removed: 1}})
         with pytest.raises(BenchConfigError):
             config_from_dict([1, 2, 3])
 

@@ -8,7 +8,6 @@ from ogmm.features import (
     _knn_indices,
     encode,
     local_descriptor,
-    spherical_positional_encoding,
 )
 from ogmm.geometry import PointCloud, apply_transform, pairwise_distances, random_transform
 from ogmm.io import sample_shape
@@ -40,13 +39,6 @@ class TestSeededMlp:
         x = np.array([[1.0, 2.0]])
         # layer 1: [1.5, -1.5] -> relu -> [1.5, 0]; layer 2: 3.0 - 1.0 = 2.0
         np.testing.assert_allclose(mlp(x), [[2.0]], atol=1e-15)
-
-    def test_final_relu_clamps_negatives(self):
-        mlp = SeededMlp([1, 4], seed=3, final_relu=True)
-        out = mlp(np.linspace(-2, 2, 9)[:, None])
-        assert np.all(out >= 0)
-        plain = SeededMlp([1, 4], seed=3)
-        assert np.any(plain(np.linspace(-2, 2, 9)[:, None]) < 0)
 
     def test_weights_respect_uniform_bound(self):
         mlp = SeededMlp([10, 20, 5], seed=4)
@@ -134,7 +126,7 @@ class TestLocalDescriptor:
         cfg = FeatureConfig(d=16, k_neighbors=5, mlp_seed=9)
         got = local_descriptor(cloud, cfg)
         stats = descriptor_stats_oracle(cloud.points, 5)
-        seed = int(np.random.SeedSequence(9).generate_state(3)[0])
+        seed = int(np.random.SeedSequence(9).generate_state(1)[0])
         expected = SeededMlp([10, 16, 16], seed=seed)(stats)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -167,59 +159,12 @@ class TestLocalDescriptor:
             local_descriptor(cloud, FeatureConfig(k_neighbors=5))
 
 
-class TestSphericalPositionalEncoding:
-    def test_square_hand_case(self):
-        # Four points on the unit circle, mean at the origin; with k=1 each
-        # point pairs with a quarter-turn neighbor: radius 1, angle pi/2.
-        pts = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
-        cfg = FeatureConfig(d=6, k_neighbors=1, mlp_seed=5)
-        got = spherical_positional_encoding(PointCloud(pts), cfg)
-        seeds = np.random.SeedSequence(5).generate_state(3)
-        phi = SeededMlp([1, 6], seed=int(seeds[1]), final_relu=True)
-        psi = SeededMlp([1, 6], seed=int(seeds[2]), final_relu=True)
-        expected = phi(np.array([[1.0]])) + psi(np.array([[np.pi / 2]]))
-        for row in got:
-            np.testing.assert_allclose(row, expected[0], atol=1e-12)
-
-    def test_point_at_center_contributes_zero_angle(self):
-        pts = np.array(
-            [[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]]
-        )
-        cfg = FeatureConfig(d=4, k_neighbors=2, mlp_seed=1)
-        got = spherical_positional_encoding(PointCloud(pts), cfg)
-        seeds = np.random.SeedSequence(1).generate_state(3)
-        phi = SeededMlp([1, 4], seed=int(seeds[1]), final_relu=True)
-        psi = SeededMlp([1, 4], seed=int(seeds[2]), final_relu=True)
-        expected = phi(np.array([[0.0]])) + psi(np.array([[0.0]]))
-        np.testing.assert_allclose(got[0], expected[0], atol=1e-12)
-        assert np.all(np.isfinite(got))
-
-    def test_rigid_invariance(self):
-        cloud = sample_shape("composite", 80, 5)
-        cfg = FeatureConfig(d=16)
-        base = spherical_positional_encoding(cloud, cfg)
-        for seed in range(20):
-            t = random_transform(seed, rot_max_deg=179.0, trans_max=2.0)
-            moved = spherical_positional_encoding(apply_transform(t, cloud), cfg)
-            assert np.max(np.abs(moved - base)) <= 1e-6
-
-    def test_angles_robust_near_pi(self):
-        # Antipodal radial directions: angle exactly pi, no NaN from arccos
-        # round-off because the computation goes through atan2.
-        pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.0, 1e-8, 0], [0.0, -1e-8, 0]])
-        got = spherical_positional_encoding(PointCloud(pts), FeatureConfig(d=4, k_neighbors=3))
-        assert np.all(np.isfinite(got))
-
-
 class TestEncode:
-    def test_encode_sums_descriptor_and_position(self):
+    def test_encode_is_the_local_descriptor(self):
         cloud = sample_shape("box", 70, 6)
         cfg = FeatureConfig(d=12)
         enc = encode(cloud, cfg)
-        np.testing.assert_array_equal(
-            enc.features,
-            local_descriptor(cloud, cfg) + spherical_positional_encoding(cloud, cfg),
-        )
+        np.testing.assert_array_equal(enc.features, local_descriptor(cloud, cfg))
         np.testing.assert_array_equal(enc.points, cloud.points)
 
     def test_one_neighbor_search_per_cloud(self, monkeypatch):
@@ -245,7 +190,7 @@ class TestEncode:
 
     def test_two_clouds_same_seed_share_weights(self):
         # Identical clouds from different PointCloud objects get identical
-        # features: the MLPs depend only on the config seed.
+        # features: the MLP depends only on the config seed.
         cloud = sample_shape("sphere", 30, 8)
         clone = PointCloud(cloud.points.copy())
         cfg = FeatureConfig(d=8)

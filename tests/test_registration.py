@@ -240,7 +240,7 @@ class TestRegister:
         assert len(solves) == DESK.starts
         assert min(lightest for lightest, _ in solves) < 1e-200
         assert all(plan.converged for _, plan in solves)
-        assert max(plan.marginal_error for _, plan in solves) <= DESK.sinkhorn_tol
+        assert max(plan.marginal_error for _, plan in solves) <= 1e-6
 
     def test_diagnostics_and_json_shape(self):
         pair = make_pair(PairSpec(n_points=128, seed=9))
