@@ -106,6 +106,16 @@ def _round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
     That point starts the next phase. Each refusal means a cluster filled,
     reached floor(N/J) under the deficit rule, or the rule began to bind, so
     at most 2J + 2 phases run.
+
+    Phases run only while more than 2J points are unplaced; the greedy
+    itself then places the rest, entry by entry over Python lists. A phase
+    costs about 15 numpy calls whatever it places, and late phases place a
+    handful of points each, since up to 2J + 2 cluster events can fall
+    among the last points; the greedy over the last 2J points' at most 2J^2
+    entries costs less than those phases. On 174 plans captured from desk
+    and criterion-1 k-means runs (one core of a 2-vCPU Xeon), a call took
+    297 us on average with phases alone, and 209, 170 and 198 us with the
+    greedy taking over at J, 2J and 4J unplaced points.
     """
     cap = math.ceil(n / j)
     floor = n // j
@@ -113,7 +123,7 @@ def _round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
     sizes = np.zeros(j, dtype=np.int64)
     deficit = floor * j
     rows = np.arange(n)
-    while rows.size:
+    while rows.size > 2 * j:
         open_ = sizes < (floor if rows.size == deficit else cap)
         masked = np.where(open_, plan[rows], -np.inf)
         choice = np.argmax(masked, axis=1)
@@ -136,6 +146,29 @@ def _round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
         sizes += np.bincount(choice[:stop], minlength=j)
         deficit -= int(needy[:stop].sum())
         rows = rows[stop:]
+    # The tail: the entry-by-entry greedy over the remaining rows' entries,
+    # in the same order (mass descending, then flat index). An entry it
+    # visited earlier for one of these rows was refused by a cluster that
+    # is still closed, so starting their entries afresh changes nothing.
+    rows = np.sort(rows)
+    order = np.argsort(-plan[rows].ravel(), kind="stable").tolist()
+    rows, sizes = rows.tolist(), sizes.tolist()
+    unassigned = len(rows)
+    placed = [False] * unassigned
+    for flat in order:
+        if unassigned == 0:
+            break
+        i, l = divmod(flat, j)
+        if placed[i] or sizes[l] >= cap:
+            continue
+        needy = sizes[l] < floor
+        if unassigned == deficit and not needy:
+            continue
+        labels[rows[i]] = l
+        placed[i] = True
+        sizes[l] += 1
+        unassigned -= 1
+        deficit -= needy
     return labels
 
 

@@ -139,8 +139,8 @@ def match_components(
     At this absolute epsilon the solve is a cold solve of
     `transport.sinkhorn` (epsilon scaling): on 276 solves captured from
     desk pairs and the oracle arm of criteria 8 and 9 it converged every
-    time, in 40-42 iterations (median) and 55 at most, about 4.4 ms a solve
-    at 8 or 16 components on one core of a 2-vCPU Xeon. The budget is a
+    time, in 40-42 iterations (median) and 55 at most; the median desk
+    solve takes 1.9 ms on one core of a 2-vCPU Xeon. The budget is a
     backstop; the plan's `converged` flag (`sinkhorn_converged` in
     `register`'s diagnostics) says whether it was reached.
     """

@@ -98,6 +98,46 @@ class TestRoundBalancedMatchesGreedy:
             extra = n % j
             assert sizes.tolist() == [n // j + 1] * extra + [n // j] * (j - extra)
 
+    # `_round_balanced` places the last 2J rows with the entry-by-entry
+    # greedy itself (the tail); the cases below make the tail do the work.
+    def test_deficit_rule_first_binds_in_the_tail(self):
+        # As above, clusters fill one after another: the first n % j to
+        # ceil(N/J), then the rest to floor(N/J). The rule first refuses a
+        # point when cluster n % j reaches floor(N/J), with
+        # (j - n % j - 1) * floor(N/J) rows still unplaced: at most 2J here,
+        # so inside the tail, while n > 2J runs phases before it.
+        rng = np.random.default_rng(24)
+        for n, j in ((29, 8), (45, 12), (61, 16), (10, 3)):
+            extra = n % j
+            assert 0 < (j - extra - 1) * (n // j) <= 2 * j < n
+            plan = rng.uniform(0.5, 1.0, size=(n, j)) * 10.0 ** -np.arange(j)
+            sizes = assert_rounds_like_reference(plan, n, j)
+            assert sizes.tolist() == [n // j + 1] * extra + [n // j] * (j - extra)
+
+    def test_exact_ties_straddle_the_tail(self):
+        # Few distinct entries and n just above 2J: entries equal to those the
+        # phases place are left to the tail, which must break the ties by
+        # flat index as the greedy does.
+        rng = np.random.default_rng(25)
+        for j in (2, 3, 5, 8, 16):
+            for n in (2 * j + 1, 2 * j + 2, 2 * j + j // 2 + 1, 3 * j - 1):
+                assert_rounds_like_reference(np.full((n, j), 0.25), n, j)
+                for levels in (2, 3):
+                    coarse = rng.integers(0, levels, size=(n, j)).astype(float)
+                    assert_rounds_like_reference(coarse, n, j)
+                rows = rng.uniform(size=(2, j))
+                assert_rounds_like_reference(rows[rng.integers(0, 2, size=n)], n, j)
+
+    def test_tail_places_every_row_when_n_is_at_most_2j(self):
+        rng = np.random.default_rng(26)
+        for j in (1, 2, 3, 7, 16):
+            for n in sorted({j, j + 1, (3 * j) // 2, 2 * j - 1, 2 * j}):
+                assert_rounds_like_reference(rng.uniform(size=(n, j)), n, j)
+                assert_rounds_like_reference(rng.uniform(size=(n, j)) ** 8.0, n, j)
+                assert_rounds_like_reference(np.full((n, j), 1.0), n, j)
+                skewed = rng.uniform(0.5, 1.0, size=(n, j)) * 10.0 ** -np.arange(j)
+                assert_rounds_like_reference(skewed, n, j)
+
 
 class TestRoundBalanced:
     def test_hand_case_capacity_forces_split(self):

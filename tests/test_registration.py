@@ -343,15 +343,19 @@ class TestIcpBaseline:
 
 
 def test_register_leaves_scipy_optimize_unloaded():
-    """Importing the package and running a desk registration must not load
-    scipy.optimize: that import alone costs 0.1-0.2 s and 10 MB, and no
-    program path needs it (the LP oracles live in the tests)."""
+    """Importing the package must not load scipy.optimize: that import alone
+    costs 0.1-0.2 s and 10 MB, and no program path needs it (the LP oracles
+    live in the tests). A desk registration must then load no module at
+    all that `import ogmm` did not, so the import set, its time and its
+    memory are settled at import."""
     script = (
-        "import sys; import ogmm; from ogmm.io import PairSpec, make_pair; "
+        "import sys; import ogmm; imported = set(sys.modules); "
+        "from ogmm.io import PairSpec, make_pair; "
         "from ogmm.registration import RegisterConfig, register; "
         "pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=9)); "
         "register(pair.source, pair.target, RegisterConfig.desk()); "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')), "
+        "sorted(set(sys.modules) - imported))"
     )
     src = str(Path(ogmm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -359,4 +363,4 @@ def test_register_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"

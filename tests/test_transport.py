@@ -647,6 +647,118 @@ class TestNewtonLoop:
             _assert_honest(plan, mu, nu, tol)
 
 
+def reference_lse(x: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp of x along axis, shifted by the max so exp stays finite."""
+    shift = x.max(axis=axis)
+    return np.log(np.exp(x - np.expand_dims(shift, axis)).sum(axis=axis)) + shift
+
+
+def reference_sweep(b: np.ndarray, zt: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """One Sinkhorn iteration in the log domain: the row update, then the
+    column update; returns the new column log-potentials."""
+    a = np.log(mu) - reference_lse(b[:, None] - zt, axis=0)
+    return np.log(nu) - reference_lse(a - zt, axis=1)
+
+
+def reference_newton_step(pi: np.ndarray, plan: np.ndarray, grad: np.ndarray, mu: np.ndarray,
+                          nu: np.ndarray):
+    """Damped Newton ascent step on the column log-potentials b, or None;
+    pi and plan are transposed, grad = nu - P^T 1.
+
+    `_sweep` and `_newton_step` as they were before they were written out
+    in place and called LAPACK without `np.linalg.solve`'s wrapper, kept
+    verbatim as the oracle every iterate must match bit for bit.
+    """
+    m = grad.size
+    system = plan @ pi.T
+    diagonal = system.reshape(-1)[:: m + 1]
+    diagonal[:] = 0.0
+    degree = system.sum(axis=1)
+    np.negative(system, out=system)
+    diagonal[:] = degree + transport.RIDGE
+    step = np.zeros_like(grad)
+    step[:-1] = np.linalg.solve(system[:-1, :-1], grad[:-1])
+    slope = float(grad @ step)
+    step_nu = float(step @ nu)
+    t = transport.MAX_STEP / max(float(np.abs(step).max()), transport.MAX_STEP)
+    for _ in range(transport.MAX_HALVINGS):
+        # phi(b + t step) - phi(b), kept precise as the step shrinks:
+        # log sum_j pi_ij exp(t step_j) = log1p(pi @ expm1(t step)).
+        gain = t * step_nu - float(mu @ np.log1p(np.expm1(t * step) @ pi))
+        if gain >= transport.ARMIJO * t * slope:
+            return t * step
+        t *= 0.5
+    return None
+
+
+def _assert_bit_identical_to_the_reference(monkeypatch, solve):
+    """`solve()` gives the same plan, iterations, error and potentials, bit
+    for bit, as with the reference sweep and Newton step patched in."""
+    plan = solve()
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "_sweep", reference_sweep)
+        patch.setattr(transport, "_newton_step", reference_newton_step)
+        reference = solve()
+    # The opening sweep alone would leave the Newton step untested.
+    assert reference.iterations > 2
+    np.testing.assert_array_equal(plan.matrix, reference.matrix)
+    np.testing.assert_array_equal(plan.potentials, reference.potentials)
+    assert (plan.iterations, plan.converged, plan.marginal_error) == (
+        reference.iterations, reference.converged, reference.marginal_error)
+
+
+class TestBitIdenticalToTheReference:
+    """The in-place sweep and the Newton step's direct LAPACK call change no
+    iterate: warm k-means solves and cold matching solves with zero-mass
+    atoms repeat the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("n, j", [(256, 16), (512, 8)])
+    def test_warm_kmeans_solves(self, monkeypatch, n, j):
+        rng = np.random.default_rng(50 + j)
+        points, centroids = _kmeans_problem(rng, n, j)
+        first = _kmeans_solve(points, centroids, SINKHORN_TOL, init=np.zeros(j))
+        for _ in range(3):
+            centroids = centroids + rng.normal(0.0, 0.1, size=centroids.shape)
+            _assert_bit_identical_to_the_reference(
+                monkeypatch, lambda: _kmeans_solve(points, centroids, SINKHORN_TOL, init=np.zeros(j)))
+            _assert_bit_identical_to_the_reference(
+                monkeypatch,
+                lambda: _kmeans_solve(points, centroids, 1e-9, init=first.potentials))
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_cold_matching_solves_with_zero_mass_atoms(self, monkeypatch, size):
+        rng = np.random.default_rng(60 + size)
+        for trial in range(4):
+            empty = rng.choice(size, 2 + trial % 2, replace=False)
+            z, mu, nu = _matching_problem(rng, size, empty_rows=empty[:1], empty_cols=empty[1:])
+            mu, nu = mu.copy(), nu.copy()
+            mu[empty[:1]] = 0.0
+            nu[empty[1:]] = 0.0
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            _assert_bit_identical_to_the_reference(
+                monkeypatch, lambda: sinkhorn(z, mu, nu, epsilon=1.0, max_iter=5000, tol=1e-6))
+
+    def test_singular_system_raises_as_np_linalg_solve_does(self, monkeypatch):
+        # Column 0 receives no mass, so with no ridge its row and column of
+        # the Newton system are exactly zero; the direct LAPACK call must
+        # fall back to np.linalg.solve and raise its LinAlgError.
+        monkeypatch.setattr(transport, "RIDGE", 0.0)
+        rng = np.random.default_rng(70)
+        n, m = 20, 5
+        pi = rng.uniform(0.1, 1.0, size=(m, n))
+        pi[0] = 0.0
+        pi /= pi.sum(axis=0)
+        mu = np.full(n, 1 / n)
+        plan = pi * mu
+        nu = np.full(m, 1 / m)
+        grad = nu - plan.sum(axis=1)
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            reference_newton_step(pi, plan.copy(), grad, mu, nu)
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            transport._newton_step(pi, plan.copy(), grad, mu, nu)
+        assert str(raised.value) == str(expected.value) == "Singular matrix"
+
+
 def test_call_sites_bind_the_public_solver():
     """Both Sinkhorn call sites go through `sinkhorn` itself. The benchmark's
     traced run wraps these two module attributes to count the k-means and
