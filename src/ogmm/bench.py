@@ -103,10 +103,6 @@ class BenchConfig:
             raise BenchConfigError("eta must be positive")
 
     @classmethod
-    def paper(cls, **overrides) -> "BenchConfig":
-        return cls(**overrides)
-
-    @classmethod
     def desk(cls, **overrides) -> "BenchConfig":
         params = {
             "overlap_fractions": (0.7, 0.5, 0.3),
@@ -216,7 +212,7 @@ def _estimate(method: str, pair, cfg: RegisterConfig):
     return result.transform, (time.perf_counter() - start) * 1000.0
 
 
-def _run_cell(config: BenchConfig, cell: BenchCell, config_hash: str) -> list:
+def _run_cell(config: BenchConfig, cell: BenchCell) -> list:
     rows = []
     reg_cfg = replace(config.register, n_components=cell.n_components)
     for trial in range(config.trials):
@@ -239,7 +235,6 @@ def _run_cell(config: BenchConfig, cell: BenchCell, config_hash: str) -> list:
                 "geodesic_deg": None,
                 "runtime_ms": None,
                 "error": "",
-                "config_hash": config_hash,
                 "gimbal_suspect": False,
             }
             try:
@@ -270,15 +265,8 @@ def run_bench(config: BenchConfig, workers: int = 1) -> tuple:
     """
     if workers < 1:
         raise BenchConfigError("workers must be at least 1")
-    cells = config.cells()
-    config_hash = config.config_hash()
-    if workers == 1:
-        per_cell = [_run_cell(config, cell, config_hash) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(
-                pool.map(lambda cell: _run_cell(config, cell, config_hash), cells)
-            )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_cell = list(pool.map(lambda cell: _run_cell(config, cell), config.cells()))
     rows = [row for cell_rows in per_cell for row in cell_rows]
     return rows, summarize(config, rows)
 
@@ -295,7 +283,11 @@ def summarize(config: BenchConfig, rows: list) -> dict:
         for method in config.methods:
             scored = [r for r in cell_rows if r["method"] == method and not r["error"]]
             failed = [r for r in cell_rows if r["method"] == method and r["error"]]
-            entry = {"n": len(scored), "errors": len(failed)}
+            entry = {
+                "n": len(scored),
+                "errors": len(failed),
+                "gimbal_suspect": sum(1 for r in scored if r["gimbal_suspect"]),
+            }
             for column in METRIC_COLUMNS:
                 values = [r[column] for r in scored]
                 entry[f"mean_{column}"] = float(np.mean(values)) if values else None

@@ -24,7 +24,7 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_DEGENERATE = 3
 
-_PROFILES = {"paper": BenchConfig.paper, "desk": BenchConfig.desk}
+_PROFILES = {"paper": BenchConfig, "desk": BenchConfig.desk}
 
 
 def _fail(kind: str, message: str, code: int) -> int:

@@ -30,6 +30,10 @@ from .transport import sinkhorn
 SINKHORN_EPSILON_SCALE = 0.05
 SINKHORN_MAX_ITER = 200
 SINKHORN_TOL = 1e-4
+# Lloyd steps: at most KMEANS_MAX_ITER, stopping once a step lowers the
+# objective by less than KMEANS_TOL.
+KMEANS_MAX_ITER = 50
+KMEANS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -172,21 +176,13 @@ def _round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
     return labels
 
 
-def _kmeans_balanced(
-    points: np.ndarray,
-    n_clusters: int,
-    seed: int,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-):
+def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
     """Core balanced k-means on an (N, dim) array; dim is arbitrary."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     j = n_clusters
     if not (1 <= j <= n):
         raise ValueError(f"n_clusters must lie in [1, {n}], got {j}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     centroids = x[farthest_point_sample(x, j, seed)]
     row_mass = np.full(n, 1.0 / n)
     col_mass = np.full(j, 1.0 / j)
@@ -198,7 +194,7 @@ def _kmeans_balanced(
     error_max = 0.0
     # Column potentials in cost units, each solve starting from the last.
     potentials = np.zeros(j)
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
         cost = cdist(x, centroids, "sqeuclidean")
         epsilon = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
         plan = sinkhorn(
@@ -224,7 +220,7 @@ def _kmeans_balanced(
             break
         best = (labels, centroids_new, obj)
         history.append(obj)
-        if prev_obj - obj < tol:
+        if prev_obj - obj < KMEANS_TOL:
             break
         prev_obj = obj
         centroids = centroids_new
@@ -242,20 +238,14 @@ def _kmeans_balanced(
     )
 
 
-def wasserstein_kmeans(
-    cloud: PointCloud,
-    n_clusters: int,
-    seed: int,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-) -> ClusterAssignment:
+def wasserstein_kmeans(cloud: PointCloud, n_clusters: int, seed: int) -> ClusterAssignment:
     """Balanced k-means on point coordinates.
 
     Initial centroids come from a seeded farthest-point sample, assignments
     from rounded entropic transport, so the same inputs always produce the
     same clustering. Cluster sizes differ by at most one.
     """
-    return _kmeans_balanced(cloud.points, n_clusters, seed, max_iter=max_iter, tol=tol)
+    return _kmeans_balanced(cloud.points, n_clusters, seed)
 
 
 @dataclass(frozen=True)

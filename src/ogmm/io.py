@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -41,26 +40,25 @@ def _parse_error(path, lineno: int, detail: str) -> CloudParseError:
     return CloudParseError(f"{path}:{lineno}: {detail}")
 
 
-def read_cloud(path, fmt: Optional[str] = None) -> PointCloud:
-    """Load a cloud from an .xyz or ASCII .ply file.
+def _cloud_format(path: str, error: type) -> str:
+    """"xyz" or "ply" by the file extension; any other extension raises
+    `error` (CloudParseError on read, ValueError on write)."""
+    lowered = path.lower()
+    for fmt in ("xyz", "ply"):
+        if lowered.endswith("." + fmt):
+            return fmt
+    raise error(f"{path}: cannot infer format from extension")
 
-    fmt may be "xyz" or "ply"; when omitted it is inferred from the file
-    extension. Parse failures raise CloudParseError with the offending line.
+
+def read_cloud(path) -> PointCloud:
+    """Load a cloud from an .xyz or ASCII .ply file, by its extension.
+
+    Parse failures raise CloudParseError with the offending line.
     """
     path = str(path)
-    if fmt is None:
-        lowered = path.lower()
-        if lowered.endswith(".xyz"):
-            fmt = "xyz"
-        elif lowered.endswith(".ply"):
-            fmt = "ply"
-        else:
-            raise CloudParseError(f"{path}: cannot infer format from extension")
-    if fmt == "xyz":
+    if _cloud_format(path, CloudParseError) == "xyz":
         return _read_xyz(path)
-    if fmt == "ply":
-        return _read_ply(path)
-    raise ValueError(f"unknown cloud format {fmt!r}")
+    return _read_ply(path)
 
 
 def _read_xyz(path: str) -> PointCloud:
@@ -166,17 +164,11 @@ def _read_ply(path: str) -> PointCloud:
     return PointCloud(points)
 
 
-def write_cloud(cloud: PointCloud, path, fmt: Optional[str] = None) -> None:
-    """Write coordinates to .xyz or ASCII .ply (features are not stored)."""
+def write_cloud(cloud: PointCloud, path) -> None:
+    """Write coordinates to .xyz or ASCII .ply by the path's extension
+    (features are not stored)."""
     path = str(path)
-    if fmt is None:
-        lowered = path.lower()
-        if lowered.endswith(".xyz"):
-            fmt = "xyz"
-        elif lowered.endswith(".ply"):
-            fmt = "ply"
-        else:
-            raise ValueError(f"{path}: cannot infer format from extension")
+    fmt = _cloud_format(path, ValueError)
     # repr of a python float is the shortest exact round-trip form, which
     # keeps rewrites byte-identical and reads lossless.
     body = "\n".join(
@@ -184,7 +176,7 @@ def write_cloud(cloud: PointCloud, path, fmt: Optional[str] = None) -> None:
     )
     if fmt == "xyz":
         text = body + "\n"
-    elif fmt == "ply":
+    else:
         header = "\n".join(
             [
                 "ply",
@@ -197,8 +189,6 @@ def write_cloud(cloud: PointCloud, path, fmt: Optional[str] = None) -> None:
             ]
         )
         text = header + "\n" + body + "\n"
-    else:
-        raise ValueError(f"unknown cloud format {fmt!r}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
 

@@ -21,6 +21,11 @@ from .geometry import DegenerateGeometryError, PointCloud, RigidTransform
 from .transport import TransportPlan, sinkhorn
 
 MOMENT_EPS = 1e-4
+# The component matching solve: an absolute epsilon, and a budget that is a
+# backstop (see match_components).
+MATCH_EPSILON = 0.01
+MATCH_MAX_ITER = 5000
+MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,24 +128,18 @@ def estimate_gmm(
     return WeightedGmm(weights, means, covs, mass, feature_centroids)
 
 
-def match_components(
-    gmm_p: WeightedGmm,
-    gmm_q: WeightedGmm,
-    epsilon: float = 0.01,
-    max_iter: int = 5000,
-    tol: float = 1e-6,
-) -> TransportPlan:
+def match_components(gmm_p: WeightedGmm, gmm_q: WeightedGmm) -> TransportPlan:
     """Entropic transport between components under feature-centroid costs.
 
     Marginals are the two weight vectors rescaled to probability vectors;
     a mixture whose total weight is zero (no overlap mass) cannot be
     matched and raises DegenerateGeometryError.
 
-    At this absolute epsilon the solve is a cold solve of
+    At the absolute MATCH_EPSILON the solve is a cold solve of
     `transport.sinkhorn` (epsilon scaling): on 276 solves captured from
     desk pairs and the oracle arm of criteria 8 and 9 it converged every
     time, in 40-42 iterations (median) and 55 at most; the median desk
-    solve takes 1.9 ms on one core of a 2-vCPU Xeon. The budget is a
+    solve takes 1.9 ms on one core of a 2-vCPU Xeon. MATCH_MAX_ITER is a
     backstop; the plan's `converged` flag (`sinkhorn_converged` in
     `register`'s diagnostics) says whether it was reached.
     """
@@ -158,9 +157,9 @@ def match_components(
         cost,
         gmm_p.weights / wp,
         gmm_q.weights / wq,
-        epsilon=epsilon,
-        max_iter=max_iter,
-        tol=tol,
+        epsilon=MATCH_EPSILON,
+        max_iter=MATCH_MAX_ITER,
+        tol=MATCH_TOL,
     )
 
 

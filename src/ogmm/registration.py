@@ -42,6 +42,22 @@ from .mixture import (
 )
 from .transport import TransportPlan
 
+# Pipeline constants no caller varies: feature width, attention heads,
+# the overlap head's similarity temperature tau, the soft-assignment
+# temperature, and the seeds. The attention weights come from ATTENTION_SEED
+# alone and are shared by every start; start i encodes with FEATURE_SEED + i
+# and clusters with CLUSTER_SEED + i.
+FEATURE_DIM = 32
+ATTENTION_HEADS = 4
+ATTENTION_SEED = 1
+OVERLAP_TAU = 0.1
+TEMPERATURE = 0.1
+FEATURE_SEED = 0
+CLUSTER_SEED = 2
+# The ICP baseline's iteration budget and the smallest objective drop that
+# lets it continue.
+ICP_MAX_ITER = 50
+ICP_TOL = 1e-8
 OVERLAP_MODES = ("predicted", "ones")
 SOLVERS = ("transport", "l2")
 # The pipeline stages `register` times, in pipeline order; its diagnostics
@@ -54,27 +70,20 @@ STAGES = (
 
 @dataclass(frozen=True)
 class RegisterConfig:
-    """All pipeline hyperparameters.
+    """The pipeline settings callers vary.
 
-    Defaults follow the full-scale protocol (72 geometric clusters, 48
-    mixture components, 5-neighbor statistics, 4 attention heads, tau 0.1).
-    desk() shrinks the cluster counts for fast interactive runs and, because
-    the seeded descriptor has no training to lean on, widens the statistics
-    neighborhood to 16 and takes the best of 3 clustering restarts. d
-    defaults to 32, which keeps the descriptor cheap while leaving room to
-    raise it.
+    Defaults follow the full-scale protocol: 72 geometric clusters, 48
+    mixture components, 5-neighbor statistics, predicted overlap, the
+    transport solve and one start. desk() shrinks the cluster counts for
+    fast interactive runs and, because the seeded descriptor has no
+    training to lean on, widens the statistics neighborhood to 16 and takes
+    the best of 3 starts. Everything else (feature width, attention heads,
+    temperatures, seeds) is a module constant.
     """
 
-    d: int = 32
     k_neighbors: int = 5
-    feature_seed: int = 0
-    attention_heads: int = 4
-    attention_seed: int = 1
-    tau: float = 0.1
     n_geo_clusters: int = 72
     n_components: int = 48
-    temperature: float = 0.1
-    cluster_seed: int = 2
     overlap_mode: str = "predicted"
     solver: str = "transport"
     starts: int = 1
@@ -84,16 +93,10 @@ class RegisterConfig:
             raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if self.d % self.attention_heads != 0:
-            raise ValueError("d must be divisible by attention_heads")
         if self.n_geo_clusters < 1 or self.n_components < 1:
             raise ValueError("cluster counts must be positive")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-
-    @classmethod
-    def paper(cls, **overrides) -> "RegisterConfig":
-        return cls(**overrides)
 
     @classmethod
     def desk(cls, **overrides) -> "RegisterConfig":
@@ -143,65 +146,81 @@ def _timed(stage_ms: dict, stage: str):
         stage_ms[stage] += (time.perf_counter() - start) * 1000.0
 
 
-def _register_once(
-    source: PointCloud,
-    target: PointCloud,
-    config: RegisterConfig,
-    overlap_source,
-    overlap_target,
-    stage_ms: dict,
-) -> RegistrationResult:
-    n_p, n_q = len(source), len(target)
-    needed = max(config.n_geo_clusters, config.n_components, config.k_neighbors + 1)
-    if min(n_p, n_q) < needed:
-        raise ValueError(
-            f"clouds must have at least {needed} points for this config, "
-            f"got {n_p} and {n_q}"
-        )
-
-    fcfg = FeatureConfig(config.d, config.k_neighbors, config.feature_seed)
-    with _timed(stage_ms, "encode"):
-        enc_p = encode(source, fcfg)
-        enc_q = encode(target, fcfg)
-
-    with _timed(stage_ms, "geometric_kmeans"):
-        geo_p = wasserstein_kmeans(source, config.n_geo_clusters, config.cluster_seed)
-        geo_q = wasserstein_kmeans(target, config.n_geo_clusters, config.cluster_seed)
-
-    self_seed, cross_seed, head_seed = (
-        int(s) for s in np.random.SeedSequence(config.attention_seed).generate_state(3)
-    )
-    with _timed(stage_ms, "self_attention"):
-        w_self = AttentionWeights.seeded(config.d, config.attention_heads, self_seed)
-        f_p = clustered_self_attention(enc_p.features, geo_p.gamma, w_self)
-        f_q = clustered_self_attention(enc_q.features, geo_q.gamma, w_self)
-
+def _fixed_overlap(config: RegisterConfig, overlap_source, overlap_target, n_p: int, n_q: int):
+    """The overlap scores every start shares and their origin, or None when
+    each start predicts its own."""
     if overlap_source is not None or overlap_target is not None:
         if overlap_source is None or overlap_target is None:
             raise ValueError("provide overlap overrides for both clouds or neither")
         o_p = _validate_overlap(overlap_source, n_p, "overlap_source")
         o_q = _validate_overlap(overlap_target, n_q, "overlap_target")
-        overlap_origin = "override"
-    elif config.overlap_mode == "ones":
-        o_p = np.ones(n_p)
-        o_q = np.ones(n_q)
-        overlap_origin = "ones"
-    else:
+        return o_p, o_q, "override"
+    if config.overlap_mode == "ones":
+        return np.ones(n_p), np.ones(n_q), "ones"
+    return None
+
+
+def _seeded_weights(predict: bool, stage_ms: dict) -> tuple:
+    """Self-attention weights, then the cross-attention weights and overlap
+    head, which only the predicted arm builds (None otherwise)."""
+    self_seed, cross_seed, head_seed = (
+        int(s) for s in np.random.SeedSequence(ATTENTION_SEED).generate_state(3)
+    )
+    with _timed(stage_ms, "self_attention"):
+        w_self = AttentionWeights.seeded(FEATURE_DIM, ATTENTION_HEADS, self_seed)
+    if not predict:
+        return w_self, None, None
+    with _timed(stage_ms, "cross_attention"):
+        w_cross = AttentionWeights.seeded(FEATURE_DIM, ATTENTION_HEADS, cross_seed)
+    with _timed(stage_ms, "overlap_head"):
+        head = OverlapHead.seeded(FEATURE_DIM, head_seed, OVERLAP_TAU)
+    return w_self, w_cross, head
+
+
+def _register_once(
+    source: PointCloud,
+    target: PointCloud,
+    config: RegisterConfig,
+    index: int,
+    weights: tuple,
+    overlap,
+    stage_ms: dict,
+) -> RegistrationResult:
+    """Start `index` of the pipeline, with the weights of `_seeded_weights`
+    and the overlap of `_fixed_overlap`."""
+    # Step both seeded stages: partitions and the descriptor lift fail on
+    # different pairs, so diversity in one alone wastes restarts.
+    fcfg = FeatureConfig(FEATURE_DIM, config.k_neighbors, FEATURE_SEED + index)
+    cluster_seed = CLUSTER_SEED + index
+    with _timed(stage_ms, "encode"):
+        enc_p = encode(source, fcfg)
+        enc_q = encode(target, fcfg)
+
+    with _timed(stage_ms, "geometric_kmeans"):
+        geo_p = wasserstein_kmeans(source, config.n_geo_clusters, cluster_seed)
+        geo_q = wasserstein_kmeans(target, config.n_geo_clusters, cluster_seed)
+
+    w_self, w_cross, head = weights
+    with _timed(stage_ms, "self_attention"):
+        f_p = clustered_self_attention(enc_p.features, geo_p.gamma, w_self)
+        f_q = clustered_self_attention(enc_q.features, geo_q.gamma, w_self)
+
+    if overlap is None:
         # Cross-attended features feed the overlap head alone, so only the
         # predicted arm computes them.
         with _timed(stage_ms, "cross_attention"):
-            w_cross = AttentionWeights.seeded(config.d, config.attention_heads, cross_seed)
             f_p_cross = clustered_cross_attention(f_p, f_q, geo_q.gamma, w_cross)
             f_q_cross = clustered_cross_attention(f_q, f_p, geo_p.gamma, w_cross)
         with _timed(stage_ms, "overlap_head"):
-            head = OverlapHead.seeded(config.d, head_seed, config.tau)
             o_p = overlap_scores(f_p_cross, f_q_cross, head)
             o_q = overlap_scores(f_q_cross, f_p_cross, head)
         overlap_origin = "predicted"
+    else:
+        o_p, o_q, overlap_origin = overlap
 
     with _timed(stage_ms, "soft_assignment"):
-        soft_p = soft_assignment(f_p, config.n_components, config.cluster_seed, config.temperature)
-        soft_q = soft_assignment(f_q, config.n_components, config.cluster_seed, config.temperature)
+        soft_p = soft_assignment(f_p, config.n_components, cluster_seed, TEMPERATURE)
+        soft_q = soft_assignment(f_q, config.n_components, cluster_seed, TEMPERATURE)
 
     with _timed(stage_ms, "moments"):
         gmm_p = estimate_gmm(source.with_features(f_p), soft_p, o_p)
@@ -265,13 +284,24 @@ def register(
 
     Overlap overrides replace the predicted scores (pass ground-truth labels
     for an oracle run, or all-ones to disable overlap guidance). starts > 1
-    re-runs the pipeline with stepped clustering seeds and keeps the estimate
-    with the lowest overlap-weighted nearest-neighbor residual; partitions
-    are the one seed-sensitive stage, so a handful of restarts buys most of
-    the available robustness.
+    re-runs the pipeline with stepped feature and clustering seeds (start i
+    uses FEATURE_SEED + i and CLUSTER_SEED + i) and keeps the estimate with
+    the lowest overlap-weighted nearest-neighbor residual; partitions are
+    the one seed-sensitive stage, so a handful of restarts buys most of the
+    available robustness. The attention weights and fixed overlap scores do
+    not depend on the start and are built once per call.
     """
     start = time.perf_counter()
+    n_p, n_q = len(source), len(target)
+    needed = max(config.n_geo_clusters, config.n_components, config.k_neighbors + 1)
+    if min(n_p, n_q) < needed:
+        raise ValueError(
+            f"clouds must have at least {needed} points for this config, "
+            f"got {n_p} and {n_q}"
+        )
     stage_ms = dict.fromkeys(STAGES, 0.0)
+    overlap = _fixed_overlap(config, overlap_source, overlap_target, n_p, n_q)
+    weights = _seeded_weights(overlap is None, stage_ms)
     best = None
     residuals = []
     # Each start's matching solve, so an unconverged solve in a start that
@@ -279,17 +309,8 @@ def register(
     start_solves = []
     failure = None
     for i in range(config.starts):
-        # Step both seeded stages: partitions and the descriptor lift fail
-        # on different pairs, so diversity in one alone wastes restarts.
-        variant = replace(
-            config,
-            cluster_seed=config.cluster_seed + i,
-            feature_seed=config.feature_seed + i,
-        )
         try:
-            attempt = _register_once(
-                source, target, variant, overlap_source, overlap_target, stage_ms
-            )
+            attempt = _register_once(source, target, config, i, weights, overlap, stage_ms)
         except DegenerateGeometryError as exc:
             failure = exc
             residuals.append(float("inf"))
@@ -332,39 +353,30 @@ def _paired_kabsch(a: np.ndarray, b: np.ndarray) -> RigidTransform:
     return RigidTransform(rotation, cb - rotation @ ca)
 
 
-def icp_baseline(
-    source: PointCloud,
-    target: PointCloud,
-    max_iter: int = 50,
-    tol: float = 1e-8,
-    return_diagnostics: bool = False,
-):
+def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: bool = False):
     """Classic point-to-point ICP from the identity initialization.
 
-    Each iteration matches every source point to its nearest target point
-    under the current transform, then re-solves the rigid motion from the
-    original source to the matched targets. The recorded objective (mean
+    Each iteration re-solves the rigid motion from the original source to
+    the target points matched under the current transform, then matches
+    the moved source again; that one search both scores the step and
+    supplies the next iteration's matches. The recorded objective (mean
     nearest-neighbor distance) is non-increasing: a step that would raise
-    it is rejected and iteration stops.
+    it is rejected and iteration stops. At most ICP_MAX_ITER iterations
+    run, and a step that lowers the objective by less than ICP_TOL ends
+    the loop.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     transform = RigidTransform.identity()
-    moved = source.points
-    _, dists = nearest_neighbors(moved, target)
+    idx, dists = nearest_neighbors(source.points, target)
     history = [float(dists.mean())]
-    for _ in range(max_iter):
-        idx, _ = nearest_neighbors(moved, target)
+    for _ in range(ICP_MAX_ITER):
         candidate = _paired_kabsch(source.points, target.points[idx])
-        candidate_moved = transform_points(candidate, source.points)
-        _, dists = nearest_neighbors(candidate_moved, target)
+        idx, dists = nearest_neighbors(transform_points(candidate, source.points), target)
         objective = float(dists.mean())
-        if objective > history[-1] - tol:
+        if objective > history[-1] - ICP_TOL:
             if objective <= history[-1]:
                 transform, history = candidate, history + [objective]
             break
         transform = candidate
-        moved = candidate_moved
         history.append(objective)
     if return_diagnostics:
         return transform, {"objective_history": history, "iterations": len(history) - 1}

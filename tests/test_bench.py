@@ -35,7 +35,7 @@ def strip_runtime(rows):
 
 class TestBenchConfig:
     def test_profiles(self):
-        paper = BenchConfig.paper()
+        paper = BenchConfig()
         assert paper.trials == 20
         assert paper.n_points == 1024
         assert paper.overlap_fractions == (0.7, 0.6, 0.5, 0.4, 0.3)
@@ -105,10 +105,13 @@ class TestConfigFromDict:
             config_from_dict({"trails": 5})
         with pytest.raises(BenchConfigError):
             config_from_dict({"register": {"n_componentz": 12}})
-        # Knobs RegisterConfig dropped are rejected, not silently ignored.
+        # Knobs RegisterConfig dropped, now constants, are rejected, not
+        # silently ignored.
         for removed in (
             "eta", "kmeans_max_iter", "kmeans_tol",
             "sinkhorn_epsilon", "sinkhorn_max_iter", "sinkhorn_tol",
+            "d", "attention_heads", "attention_seed", "tau", "temperature",
+            "feature_seed", "cluster_seed",
         ):
             with pytest.raises(BenchConfigError, match=removed):
                 config_from_dict({"register": {removed: 1}})
@@ -127,7 +130,8 @@ class TestRunBench:
         rows, summary = run_bench(TINY)
         assert len(rows) == 1 * 2 * 2  # cells x trials x methods
         assert [r["method"] for r in rows] == ["ogmm_unguided", "icp"] * 2
-        assert all(set(CSV_COLUMNS) <= set(r) for r in rows)
+        # Rows carry the CSV columns plus the one flag the summary counts.
+        assert all(set(r) == set(CSV_COLUMNS) | {"gimbal_suspect"} for r in rows)
         assert summary["rows"] == len(rows)
         assert summary["errors"] == 0
 
@@ -163,6 +167,8 @@ class TestRunBench:
             scored = [r for r in rows if r["method"] == method and not r["error"]]
             expected = float(np.mean([r["mae_r_deg"] for r in scored]))
             assert cell["methods"][method]["n"] == len(scored)
+            suspects = sum(1 for r in scored if r["gimbal_suspect"])
+            assert cell["methods"][method]["gimbal_suspect"] == suspects
             assert cell["methods"][method]["mean_mae_r_deg"] == pytest.approx(expected)
 
     def test_summarize_handles_empty_method(self):

@@ -152,9 +152,14 @@ class TestPlyFormat:
         with pytest.raises(CloudParseError, match="lacks properties"):
             read_cloud(path)
 
-    def test_unknown_extension_rejected(self, tmp_path):
+    def test_unknown_extension_rejected(self, tmp_path, small_cloud):
         with pytest.raises(CloudParseError, match="cannot infer"):
             read_cloud(tmp_path / "c.pcd")
+        # Writing is not parsing: the same refusal is a plain ValueError.
+        with pytest.raises(ValueError, match="cannot infer") as info:
+            write_cloud(small_cloud, tmp_path / "c.pcd")
+        assert type(info.value) is ValueError
+        assert not (tmp_path / "c.pcd").exists()
 
 
 class TestSampleShape:

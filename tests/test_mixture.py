@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ogmm.clustering import SoftAssignment, soft_assignment
 from ogmm.geometry import (
@@ -13,6 +14,8 @@ from ogmm.geometry import (
 )
 from ogmm.io import sample_shape
 from ogmm.mixture import (
+    MATCH_EPSILON,
+    MATCH_TOL,
     MOMENT_EPS,
     WeightedGmm,
     estimate_gmm,
@@ -20,6 +23,7 @@ from ogmm.mixture import (
     match_components,
     weighted_svd,
 )
+from ogmm.transport import sinkhorn
 
 
 def brute_force_moments(points, features, scores, overlap):
@@ -255,10 +259,16 @@ class TestMatchComponents:
                            weights=np.array([0.4, 0.3, 0.2, 0.1]))
         gq = self.make_gmm(rng.normal(size=(6, 3)), rng.normal(size=(6, 5)),
                            weights=np.full(6, 1 / 6))
-        plan = match_components(gp, gq, tol=1e-10, max_iter=20000)
-        assert plan.converged
-        np.testing.assert_allclose(plan.matrix.sum(axis=1), gp.weights / gp.weights.sum(), atol=1e-9)
-        np.testing.assert_allclose(plan.matrix.sum(axis=0), gq.weights / gq.weights.sum(), atol=1e-9)
+        mu, nu = gp.weights / gp.weights.sum(), gq.weights / gq.weights.sum()
+        # The problem match_components poses, solved to a tight tolerance.
+        cost = cdist(gp.feature_centroids, gq.feature_centroids, "sqeuclidean")
+        tight = sinkhorn(cost, mu, nu, epsilon=MATCH_EPSILON, tol=1e-10, max_iter=20000)
+        assert tight.converged
+        np.testing.assert_allclose(tight.matrix.sum(axis=1), mu, atol=1e-9)
+        np.testing.assert_allclose(tight.matrix.sum(axis=0), nu, atol=1e-9)
+        plan = match_components(gp, gq)
+        assert plan.converged and plan.marginal_error <= MATCH_TOL
+        np.testing.assert_allclose(plan.matrix, tight.matrix, rtol=0, atol=MATCH_TOL)
 
     def test_distinct_features_give_near_permutation_plan(self):
         rng = np.random.default_rng(12)
@@ -267,7 +277,7 @@ class TestMatchComponents:
         perm = np.array([3, 0, 4, 2, 1])
         gp = self.make_gmm(means, feats)
         gq = self.make_gmm(means[perm], feats[perm])
-        plan = match_components(gp, gq, epsilon=1e-2)
+        plan = match_components(gp, gq)
         # Mass concentrates where features agree: entry (i, inv_perm[i]).
         for i in range(5):
             j = int(np.where(perm == i)[0][0])

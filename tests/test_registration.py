@@ -45,21 +45,18 @@ def euler_mae_deg(estimate, reference):
 
 class TestRegisterConfig:
     def test_profiles(self):
-        paper = RegisterConfig.paper()
+        paper = RegisterConfig()
         assert paper.n_geo_clusters == 72
         assert paper.n_components == 48
         desk = RegisterConfig.desk()
         assert desk.n_geo_clusters == 16
         assert desk.n_components == 8
-        assert RegisterConfig.desk(d=16).d == 16
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RegisterConfig(overlap_mode="oracle")
         with pytest.raises(ValueError):
             RegisterConfig(solver="icp")
-        with pytest.raises(ValueError):
-            RegisterConfig(d=30, attention_heads=4)
 
 
 class TestRegister:
@@ -336,10 +333,40 @@ class TestIcpBaseline:
         np.testing.assert_allclose(paired.rotation, coupled.rotation, rtol=0, atol=1e-12)
         np.testing.assert_allclose(paired.translation, coupled.translation, rtol=0, atol=1e-12)
 
-    def test_rejects_zero_iterations(self):
-        cloud = sample_shape("sphere", 32, seed=0)
-        with pytest.raises(ValueError):
-            icp_baseline(cloud, cloud, max_iter=0)
+    @pytest.mark.parametrize("case", ["small_motion", "partial_pair"])
+    def test_one_neighbor_search_per_iteration(self, monkeypatch, case):
+        # The search that scores a step also supplies the next step's
+        # matches, so only the initial search comes on top of one search
+        # per rigid solve. A step rejected for raising the objective is
+        # solved and searched but not counted in `iterations`.
+        counts = {"search": 0, "solve": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            registration, "nearest_neighbors", counting("search", registration.nearest_neighbors)
+        )
+        monkeypatch.setattr(registration, "_paired_kabsch", counting("solve", _paired_kabsch))
+        if case == "small_motion":
+            source = sample_shape("composite", 256, seed=2)
+            gt = RigidTransform.from_euler(EulerAnglesDeg(5.0, -3.0, 4.0), (0.03, -0.02, 0.05))
+            target = apply_transform(gt, source)
+        else:
+            pair = make_pair(PairSpec(n_points=256, seed=13))
+            source, target = pair.source, pair.target
+        _, diag = icp_baseline(source, target, return_diagnostics=True)
+        assert diag["iterations"] >= 2
+        assert counts["search"] == 1 + counts["solve"]
+        if case == "small_motion":
+            # Converged steps are all accepted.
+            assert counts["search"] == 1 + diag["iterations"]
+        else:
+            # This pair ends on a rejected step.
+            assert counts["search"] == 2 + diag["iterations"]
 
 
 def test_register_leaves_scipy_optimize_unloaded():
