@@ -143,8 +143,14 @@ def _attend(queries: np.ndarray, keys_values: np.ndarray, weights: AttentionWeig
         q = q_in @ weights.wq[h]
         k = kv @ weights.wk[h]
         v = kv @ weights.wv[h]
-        alpha = _softmax_rows(q @ k.T * scale)
-        merged[:, h * d_head : (h + 1) * d_head] = alpha @ v
+        # Scores as (J, N) with the softmax over axis 0: numpy reduces N
+        # columns of length J far faster than N short rows of length J.
+        st = k @ q.T
+        st *= scale
+        st -= st.max(axis=0)
+        np.exp(st, out=st)
+        st /= st.sum(axis=0)
+        merged[:, h * d_head : (h + 1) * d_head] = st.T @ v
     out = merged @ weights.wo
     return q_in + weights.mlp(out)
 

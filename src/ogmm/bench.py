@@ -1,8 +1,8 @@
 """Benchmark harness: sweep configuration, pair generation, scoring, plots.
 
 A sweep is the cross product of overlap fractions and component counts; each
-cell runs `trials` seeded pairs through every requested method. Rows are
-emitted in (cell, trial, method) order regardless of the worker count, so a
+cell runs `trials` seeded pairs through every requested method. Cells run
+one after another and rows are emitted in (cell, trial, method) order, so a
 re-run with the same config is byte-identical apart from measured runtimes.
 """
 
@@ -12,8 +12,7 @@ import hashlib
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,15 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 METRIC_COLUMNS = ("mae_r_deg", "mae_t", "ccd", "geodesic_deg", "runtime_ms")
 
+# The RegisterConfig fields each pipeline arm fixes; the cell sets
+# n_components and the oracle arm also passes the ground-truth labels.
+_ARM_SETTINGS = {
+    "ogmm": {"solver": "transport", "overlap_mode": "predicted"},
+    "ogmm_unguided": {"solver": "transport", "overlap_mode": "ones"},
+    "ogmm_oracle_overlap": {"solver": "transport"},
+    "gmm_l2": {"solver": "l2", "overlap_mode": "ones"},
+}
+
 
 class BenchConfigError(ValueError):
     pass
@@ -54,16 +62,17 @@ class BenchConfig:
 
     Defaults are the full-scale protocol; desk() swaps in a small profile
     that finishes in seconds. cluster_counts sweeps the number of mixture
-    components per cell, overriding register.n_components.
+    components per cell, overriding register.n_components. noise_sigma 0
+    and density_keep 1 leave the clouds unjittered and at full density;
+    noise_sigma=0.01 and density_keep=0.5 give the jitter and density
+    protocols. The pair fields are validated by PairSpec.
     """
 
     overlap_fractions: tuple = (0.7, 0.6, 0.5, 0.4, 0.3)
     cluster_counts: tuple = (8, 16, 32, 48, 64)
-    noise: bool = False
-    density: bool = False
-    noise_sigma: float = 0.01
+    noise_sigma: float = 0.0
     jitter_clip: float = 0.05
-    density_keep: float = 0.5
+    density_keep: float = 1.0
     trials: int = 20
     n_points: int = 1024
     rot_max_deg: float = 45.0
@@ -91,16 +100,12 @@ class BenchConfig:
             raise BenchConfigError(f"unknown methods: {sorted(unknown)}")
         if self.trials < 1:
             raise BenchConfigError("trials must be at least 1")
-        if self.n_points < 1:
-            raise BenchConfigError("n_points must be positive")
-        if self.noise_sigma < 0 or self.jitter_clip < 0:
-            raise BenchConfigError("noise parameters must be non-negative")
-        if not (0.0 < self.density_keep <= 1.0):
-            raise BenchConfigError("density_keep must lie in (0, 1]")
         if self.shape_kind not in SHAPE_KINDS:
             raise BenchConfigError(f"shape_kind must be one of {SHAPE_KINDS}")
-        if self.eta <= 0:
-            raise BenchConfigError("eta must be positive")
+        try:
+            self.pair_spec(self.cells()[0], 0)
+        except ValueError as exc:
+            raise BenchConfigError(f"invalid pair protocol: {exc}") from exc
 
     @classmethod
     def desk(cls, **overrides) -> "BenchConfig":
@@ -115,15 +120,7 @@ class BenchConfig:
         return cls(**params)
 
     def to_json_dict(self) -> dict:
-        payload = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "register":
-                value = {f.name: getattr(value, f.name) for f in fields(RegisterConfig)}
-            elif isinstance(value, tuple):
-                value = list(value)
-            payload[spec.name] = value
-        return payload
+        return asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -140,9 +137,9 @@ class BenchConfig:
             overlap_keep_fraction=cell.overlap_fraction,
             rot_max_deg=self.rot_max_deg,
             trans_max=self.trans_max,
-            jitter_sigma=self.noise_sigma if self.noise else 0.0,
+            jitter_sigma=self.noise_sigma,
             jitter_clip=self.jitter_clip,
-            density_keep=self.density_keep if self.density else 1.0,
+            density_keep=self.density_keep,
             eta=self.eta,
             seed=int(seq.generate_state(1)[0]),
         )
@@ -190,59 +187,52 @@ def _estimate(method: str, pair, cfg: RegisterConfig):
         start = time.perf_counter()
         transform = icp_baseline(pair.source, pair.target)
         return transform, (time.perf_counter() - start) * 1000.0
-    if method == "ogmm":
-        cfg = replace(cfg, solver="transport", overlap_mode="predicted")
-        overrides = {}
-    elif method == "ogmm_unguided":
-        cfg = replace(cfg, solver="transport", overlap_mode="ones")
-        overrides = {}
-    elif method == "ogmm_oracle_overlap":
-        cfg = replace(cfg, solver="transport")
+    cfg = replace(cfg, **_ARM_SETTINGS[method])
+    overrides = {}
+    if method == "ogmm_oracle_overlap":
         overrides = {
             "overlap_source": pair.gt_overlap_source.astype(np.float64),
             "overlap_target": pair.gt_overlap_target.astype(np.float64),
         }
-    elif method == "gmm_l2":
-        cfg = replace(cfg, solver="l2", overlap_mode="ones")
-        overrides = {}
-    else:
-        raise BenchConfigError(f"unknown method: {method}")
     start = time.perf_counter()
     result = register(pair.source, pair.target, cfg, **overrides)
     return result.transform, (time.perf_counter() - start) * 1000.0
 
 
+def _cell_pairs(config: BenchConfig, cell: BenchCell):
+    """Yield (trial, pair_id, pair) for each seeded trial of a cell."""
+    for trial in range(config.trials):
+        pair = make_pair(config.pair_spec(cell, trial), config.shape_kind)
+        yield trial, f"c{cell.index:03d}t{trial:03d}", pair
+
+
 def _run_cell(config: BenchConfig, cell: BenchCell) -> list:
+    """One row per (trial, method). A failed row keeps its exception text
+    under "message", which the summary lists and the CSV leaves out."""
     rows = []
     reg_cfg = replace(config.register, n_components=cell.n_components)
-    for trial in range(config.trials):
-        spec = config.pair_spec(cell, trial)
-        pair = make_pair(spec, config.shape_kind)
-        pair_id = f"c{cell.index:03d}t{trial:03d}"
+    for trial, pair_id, pair in _cell_pairs(config, cell):
         for method in config.methods:
             row = {
                 "method": method,
                 "overlap_fraction": cell.overlap_fraction,
                 "n_components": cell.n_components,
-                "noise_sigma": spec.jitter_sigma,
-                "density_keep": spec.density_keep,
+                "noise_sigma": pair.spec.jitter_sigma,
+                "density_keep": pair.spec.density_keep,
                 "trial": trial,
                 "pair_id": pair_id,
-                "seed": spec.seed,
-                "mae_r_deg": None,
-                "mae_t": None,
-                "ccd": None,
-                "geodesic_deg": None,
-                "runtime_ms": None,
+                "seed": pair.spec.seed,
+                **dict.fromkeys(METRIC_COLUMNS),
                 "error": "",
+                "message": "",
                 "gimbal_suspect": False,
             }
             try:
                 transform, runtime_ms = _estimate(method, pair, reg_cfg)
-            except DegenerateGeometryError:
-                row["error"] = "degenerate"
-            except ValueError:
-                row["error"] = "invalid"
+            except DegenerateGeometryError as exc:
+                row["error"], row["message"] = "degenerate", str(exc)
+            except ValueError as exc:
+                row["error"], row["message"] = "invalid", str(exc)
             else:
                 row["mae_r_deg"] = mae_rotation(transform, pair.gt_transform)
                 row["mae_t"] = mae_translation(transform, pair.gt_transform)
@@ -256,18 +246,9 @@ def _run_cell(config: BenchConfig, cell: BenchCell) -> list:
     return rows
 
 
-def run_bench(config: BenchConfig, workers: int = 1) -> tuple:
-    """Execute the sweep; returns (rows, summary).
-
-    Cells run concurrently up to `workers`; every cell is an isolated pure
-    task, and rows are gathered in cell order, so the output is independent
-    of the worker count.
-    """
-    if workers < 1:
-        raise BenchConfigError("workers must be at least 1")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_cell = list(pool.map(lambda cell: _run_cell(config, cell), config.cells()))
-    rows = [row for cell_rows in per_cell for row in cell_rows]
+def run_bench(config: BenchConfig) -> tuple:
+    """Execute the sweep cell by cell; returns (rows, summary)."""
+    rows = [row for cell in config.cells() for row in _run_cell(config, cell)]
     return rows, summarize(config, rows)
 
 
@@ -286,6 +267,9 @@ def summarize(config: BenchConfig, rows: list) -> dict:
             entry = {
                 "n": len(scored),
                 "errors": len(failed),
+                "failures": [
+                    {k: r[k] for k in ("pair_id", "error", "message")} for r in failed
+                ],
                 "gimbal_suspect": sum(1 for r in scored if r["gimbal_suspect"]),
             }
             for column in METRIC_COLUMNS:
@@ -328,10 +312,8 @@ def write_bench_csv(path, rows: list) -> None:
     Path(path).write_text(format_csv(rows), encoding="ascii")
 
 
-def write_summary(path, summary: dict) -> None:
-    Path(path).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+def write_json(path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
 def genpairs(config: BenchConfig, out_dir) -> dict:
@@ -341,35 +323,28 @@ def genpairs(config: BenchConfig, out_dir) -> dict:
     root.mkdir(parents=True, exist_ok=True)
     entries = []
     for cell in config.cells():
-        for trial in range(config.trials):
-            spec = config.pair_spec(cell, trial)
-            pair = make_pair(spec, config.shape_kind)
-            pair_id = f"c{cell.index:03d}t{trial:03d}"
+        for _, pair_id, pair in _cell_pairs(config, cell):
             pair_dir = root / f"pair_{pair_id}"
             pair_dir.mkdir(exist_ok=True)
             write_cloud(pair.source, pair_dir / "source.ply")
             write_cloud(pair.target, pair_dir / "target.ply")
             gt = {
-                "rotation": [float(v) for v in pair.gt_transform.rotation.ravel()],
-                "translation": [float(v) for v in pair.gt_transform.translation],
-                "seed": spec.seed,
+                "rotation": pair.gt_transform.rotation.ravel().tolist(),
+                "translation": pair.gt_transform.translation.tolist(),
+                "seed": pair.spec.seed,
                 "overlap_fraction": cell.overlap_fraction,
             }
-            (pair_dir / "gt.json").write_text(
-                json.dumps(gt, indent=2, sort_keys=True) + "\n", encoding="ascii"
-            )
+            write_json(pair_dir / "gt.json", gt)
             labels = {
-                "source": [int(v) for v in pair.gt_overlap_source],
-                "target": [int(v) for v in pair.gt_overlap_target],
+                "source": pair.gt_overlap_source.tolist(),
+                "target": pair.gt_overlap_target.tolist(),
             }
-            (pair_dir / "labels.json").write_text(
-                json.dumps(labels, indent=2, sort_keys=True) + "\n", encoding="ascii"
-            )
+            write_json(pair_dir / "labels.json", labels)
             entries.append(
                 {
                     "pair_id": pair_id,
                     "path": pair_dir.name,
-                    "seed": spec.seed,
+                    "seed": pair.spec.seed,
                     "overlap_fraction": cell.overlap_fraction,
                     "n_components": cell.n_components,
                 }
@@ -380,9 +355,7 @@ def genpairs(config: BenchConfig, out_dir) -> dict:
         "pair_count": len(entries),
         "pairs": entries,
     }
-    (root / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    write_json(root / "manifest.json", manifest)
     return manifest
 
 
@@ -404,11 +377,10 @@ def _parse_bench_csv(path) -> list:
 
 
 def _aggregate(rows: list, axis: str) -> dict:
-    """Mean metrics grouped by (axis value, method) over non-error rows."""
+    """(row count, mean metrics) grouped by (axis value, method) over
+    scored rows."""
     groups = {}
     for row in rows:
-        if row["error"]:
-            continue
         try:
             key = (float(row[axis]), row["method"])
             values = [float(row[column]) for column in METRIC_COLUMNS]
@@ -416,7 +388,8 @@ def _aggregate(rows: list, axis: str) -> dict:
             raise BenchDataError(f"malformed CSV: non-numeric field ({exc})") from exc
         groups.setdefault(key, []).append(values)
     return {
-        key: np.asarray(stack).mean(axis=0) for key, stack in sorted(groups.items())
+        key: (len(stack), np.asarray(stack).mean(axis=0))
+        for key, stack in sorted(groups.items())
     }
 
 
@@ -496,12 +469,8 @@ def report(csv_path, out_dir) -> dict:
     for axis in axes:
         grouped = _aggregate(data_rows, axis)
         lines = [f"{axis},method,n," + ",".join(f"mean_{c}" for c in METRIC_COLUMNS)]
-        counts = {}
-        for row in data_rows:
-            key = (float(row[axis]), row["method"])
-            counts[key] = counts.get(key, 0) + 1
-        for (value, method), means in grouped.items():
-            cells = [repr(value), method, str(counts[(value, method)])]
+        for (value, method), (count, means) in grouped.items():
+            cells = [repr(value), method, str(count)]
             cells.extend(repr(float(v)) for v in means)
             lines.append(",".join(cells))
         agg_path = root / f"by_{axis}.csv"
@@ -512,7 +481,7 @@ def report(csv_path, out_dir) -> dict:
             series = {
                 method: [
                     (value, float(means[idx]))
-                    for (value, m), means in grouped.items()
+                    for (value, m), (_, means) in grouped.items()
                     if m == method
                 ]
                 for method in methods

@@ -77,10 +77,10 @@ def _cmd_register(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _load_config(args)
-    rows, summary = bench_mod.run_bench(config, workers=args.workers)
+    rows, summary = bench_mod.run_bench(config)
     bench_mod.write_bench_csv(args.out, rows)
     summary_path = str(args.out) + ".summary.json"
-    bench_mod.write_summary(summary_path, summary)
+    bench_mod.write_json(summary_path, summary)
     print(f"wrote {len(rows)} rows to {args.out} ({summary['errors']} errors)")
     print(f"wrote summary to {summary_path}")
     return EXIT_OK
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the benchmark sweep")
     _add_common(bench)
     bench.add_argument("--out", required=True, help="output CSV path")
-    bench.add_argument("--workers", type=int, default=1, help="concurrent sweep cells")
     bench.set_defaults(fn=_cmd_bench)
 
     rep = sub.add_parser("report", help="aggregate a bench CSV and draw charts")

@@ -53,7 +53,8 @@ def _cloud_format(path: str, error: type) -> str:
 def read_cloud(path) -> PointCloud:
     """Load a cloud from an .xyz or ASCII .ply file, by its extension.
 
-    Parse failures raise CloudParseError with the offending line.
+    Parse failures, including a non-ASCII byte and a nan or inf coordinate,
+    raise CloudParseError with the offending line.
     """
     path = str(path)
     if _cloud_format(path, CloudParseError) == "xyz":
@@ -61,28 +62,42 @@ def read_cloud(path) -> PointCloud:
     return _read_ply(path)
 
 
+def _read_lines(path: str) -> list:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise _parse_error(path, lineno, f"non-ASCII byte {raw[exc.start]:#04x}") from None
+
+
+def _coordinates(tokens: list, path: str, lineno: int) -> list:
+    try:
+        point = [float(tok) for tok in tokens]
+    except ValueError:
+        raise _parse_error(path, lineno, f"non-numeric coordinate in {tokens}") from None
+    if not all(map(math.isfinite, point)):
+        raise _parse_error(path, lineno, f"non-finite coordinate in {tokens}")
+    return point
+
+
 def _read_xyz(path: str) -> PointCloud:
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 3:
-                raise _parse_error(path, lineno, f"expected 3 values, got {len(tokens)}")
-            try:
-                rows.append([float(tok) for tok in tokens])
-            except ValueError:
-                raise _parse_error(path, lineno, f"non-numeric value in {stripped!r}") from None
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 3:
+            raise _parse_error(path, lineno, f"expected 3 values, got {len(tokens)}")
+        rows.append(_coordinates(tokens, path, lineno))
     if not rows:
         raise CloudParseError(f"{path}: file contains no points")
     return PointCloud(np.array(rows, dtype=np.float64))
 
 
 def _read_ply(path: str) -> PointCloud:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != "ply":
         raise _parse_error(path, 1, "missing 'ply' magic line")
 
@@ -142,7 +157,7 @@ def _read_ply(path: str) -> PointCloud:
                 path, end_header + len(data_lines), f"element {name!r} declares {count} rows but file ends early"
             )
         if name == "vertex":
-            cols = {prop: vertex_props.index(prop) for prop in ("x", "y", "z")}
+            cols = [vertex_props.index(prop) for prop in ("x", "y", "z")]
             rows = np.empty((count, 3), dtype=np.float64)
             for i in range(count):
                 lineno = end_header + cursor + i + 1
@@ -151,11 +166,7 @@ def _read_ply(path: str) -> PointCloud:
                     raise _parse_error(
                         path, lineno, f"expected {len(vertex_props)} values, got {len(tokens)}"
                     )
-                try:
-                    for axis, col in enumerate(("x", "y", "z")):
-                        rows[i, axis] = float(tokens[cols[col]])
-                except ValueError:
-                    raise _parse_error(path, lineno, "non-numeric vertex coordinate") from None
+                rows[i] = _coordinates([tokens[col] for col in cols], path, lineno)
             points = rows
         cursor += count
     assert points is not None

@@ -363,11 +363,13 @@ def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: boo
     nearest-neighbor distance) is non-increasing: a step that would raise
     it is rejected and iteration stops. At most ICP_MAX_ITER iterations
     run, and a step that lowers the objective by less than ICP_TOL ends
-    the loop.
+    the loop. The diagnostics' `converged` is False only when the
+    ICP_MAX_ITER budget ran out first.
     """
     transform = RigidTransform.identity()
     idx, dists = nearest_neighbors(source.points, target)
     history = [float(dists.mean())]
+    converged = False
     for _ in range(ICP_MAX_ITER):
         candidate = _paired_kabsch(source.points, target.points[idx])
         idx, dists = nearest_neighbors(transform_points(candidate, source.points), target)
@@ -375,9 +377,14 @@ def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: boo
         if objective > history[-1] - ICP_TOL:
             if objective <= history[-1]:
                 transform, history = candidate, history + [objective]
+            converged = True
             break
         transform = candidate
         history.append(objective)
     if return_diagnostics:
-        return transform, {"objective_history": history, "iterations": len(history) - 1}
+        return transform, {
+            "objective_history": history,
+            "iterations": len(history) - 1,
+            "converged": converged,
+        }
     return transform

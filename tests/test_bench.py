@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ogmm import bench
 from ogmm.bench import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -83,9 +84,19 @@ class TestBenchConfig:
         assert base.config_hash() != BenchConfig.desk(trials=4).config_hash()
 
     def test_json_dict_round_trips_through_overlay(self):
-        config = BenchConfig.desk(noise=True, noise_sigma=0.02)
+        config = BenchConfig.desk(noise_sigma=0.02)
         rebuilt = config_from_dict(config.to_json_dict(), base=BenchConfig())
         assert rebuilt == config
+
+    def test_pair_protocol_checked_at_load(self):
+        # PairSpec validates the pair fields; a bad one fails when the
+        # config is built, not at the first pair of the sweep.
+        with pytest.raises(BenchConfigError, match="rot_max_deg"):
+            BenchConfig.desk(rot_max_deg=180.0)
+        with pytest.raises(BenchConfigError, match="trans_max"):
+            config_from_dict({"trans_max": -1.0}, base=BenchConfig.desk())
+        with pytest.raises(BenchConfigError, match="n_points"):
+            BenchConfig(n_points=0)
 
 
 class TestConfigFromDict:
@@ -130,8 +141,9 @@ class TestRunBench:
         rows, summary = run_bench(TINY)
         assert len(rows) == 1 * 2 * 2  # cells x trials x methods
         assert [r["method"] for r in rows] == ["ogmm_unguided", "icp"] * 2
-        # Rows carry the CSV columns plus the one flag the summary counts.
-        assert all(set(r) == set(CSV_COLUMNS) | {"gimbal_suspect"} for r in rows)
+        # Rows carry the CSV columns plus the flag and the failure text the
+        # summary reports.
+        assert all(set(r) == set(CSV_COLUMNS) | {"gimbal_suspect", "message"} for r in rows)
         assert summary["rows"] == len(rows)
         assert summary["errors"] == 0
 
@@ -139,14 +151,6 @@ class TestRunBench:
         rows_a, _ = run_bench(TINY)
         rows_b, _ = run_bench(TINY)
         assert strip_runtime(rows_a) == strip_runtime(rows_b)
-
-    def test_workers_do_not_change_rows(self):
-        config = replace(TINY, overlap_fractions=(0.7, 0.5))
-        rows_a, _ = run_bench(config, workers=1)
-        rows_b, _ = run_bench(config, workers=2)
-        assert strip_runtime(rows_a) == strip_runtime(rows_b)
-        with pytest.raises(BenchConfigError):
-            run_bench(config, workers=0)
 
     def test_infeasible_cells_become_error_rows(self):
         # 64 mixture components but only 48 points: the pipeline refuses,
@@ -159,6 +163,30 @@ class TestRunBench:
         assert all(r["mae_r_deg"] is None for r in ogmm_rows)
         assert all(not r["error"] for r in icp_rows)
         assert summary["errors"] == len(ogmm_rows)
+
+    def test_summary_lists_failure_messages(self, monkeypatch):
+        clean_rows, _ = run_bench(TINY)
+
+        def failing_register(*args, **kwargs):
+            raise ValueError("no overlap mass")
+
+        monkeypatch.setattr(bench, "register", failing_register)
+        rows, summary = run_bench(TINY)
+        entry = summary["cells"][0]["methods"]["ogmm_unguided"]
+        assert entry["errors"] == 2
+        assert entry["failures"] == [
+            {"pair_id": f"c000t00{t}", "error": "invalid", "message": "no overlap mass"}
+            for t in range(2)
+        ]
+        assert summary["cells"][0]["methods"]["icp"]["failures"] == []
+        # The message stays off the CSV: icp's rows are unchanged, and a
+        # failed row differs only in blanked metrics.
+        assert "no overlap mass" not in format_csv(rows)
+        for clean, failed in zip(strip_runtime(clean_rows), strip_runtime(rows)):
+            if failed["method"] == "icp":
+                assert failed == clean
+            else:
+                assert failed["error"] == "invalid" and failed["mae_r_deg"] is None
 
     def test_summary_means_match_rows(self):
         rows, summary = run_bench(TINY)
