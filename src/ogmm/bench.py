@@ -182,11 +182,13 @@ def config_from_dict(data: dict, base: BenchConfig = None) -> BenchConfig:
 
 
 def _estimate(method: str, pair, cfg: RegisterConfig):
-    """Run one method, timing only the solve."""
+    """Run one method, timing only the solve; returns (transform, runtime
+    ms, converged), converged being ICP's flag and None for the other
+    methods."""
     if method == "icp":
         start = time.perf_counter()
-        transform = icp_baseline(pair.source, pair.target)
-        return transform, (time.perf_counter() - start) * 1000.0
+        transform, diagnostics = icp_baseline(pair.source, pair.target, return_diagnostics=True)
+        return transform, (time.perf_counter() - start) * 1000.0, diagnostics["converged"]
     cfg = replace(cfg, **_ARM_SETTINGS[method])
     overrides = {}
     if method == "ogmm_oracle_overlap":
@@ -196,7 +198,7 @@ def _estimate(method: str, pair, cfg: RegisterConfig):
         }
     start = time.perf_counter()
     result = register(pair.source, pair.target, cfg, **overrides)
-    return result.transform, (time.perf_counter() - start) * 1000.0
+    return result.transform, (time.perf_counter() - start) * 1000.0, None
 
 
 def _cell_pairs(config: BenchConfig, cell: BenchCell):
@@ -208,7 +210,9 @@ def _cell_pairs(config: BenchConfig, cell: BenchCell):
 
 def _run_cell(config: BenchConfig, cell: BenchCell) -> list:
     """One row per (trial, method). A failed row keeps its exception text
-    under "message", which the summary lists and the CSV leaves out."""
+    under "message", and an icp row whether ICP converged within its
+    iteration budget under "converged" (None elsewhere); the summary
+    reports both and the CSV leaves them out."""
     rows = []
     reg_cfg = replace(config.register, n_components=cell.n_components)
     for trial, pair_id, pair in _cell_pairs(config, cell):
@@ -226,9 +230,10 @@ def _run_cell(config: BenchConfig, cell: BenchCell) -> list:
                 "error": "",
                 "message": "",
                 "gimbal_suspect": False,
+                "converged": None,
             }
             try:
-                transform, runtime_ms = _estimate(method, pair, reg_cfg)
+                transform, runtime_ms, converged = _estimate(method, pair, reg_cfg)
             except DegenerateGeometryError as exc:
                 row["error"], row["message"] = "degenerate", str(exc)
             except ValueError as exc:
@@ -239,6 +244,7 @@ def _run_cell(config: BenchConfig, cell: BenchCell) -> list:
                 row["ccd"] = ccd(apply_transform(transform, pair.source), pair.target)
                 row["geodesic_deg"] = geodesic_rotation_deg(transform, pair.gt_transform)
                 row["runtime_ms"] = runtime_ms
+                row["converged"] = converged
                 row["gimbal_suspect"] = near_gimbal_lock(transform) or near_gimbal_lock(
                     pair.gt_transform
                 )
@@ -272,6 +278,8 @@ def summarize(config: BenchConfig, rows: list) -> dict:
                 ],
                 "gimbal_suspect": sum(1 for r in scored if r["gimbal_suspect"]),
             }
+            if method == "icp":
+                entry["unconverged"] = sum(1 for r in scored if not r["converged"])
             for column in METRIC_COLUMNS:
                 values = [r[column] for r in scored]
                 entry[f"mean_{column}"] = float(np.mean(values)) if values else None

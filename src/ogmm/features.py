@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, pairwise_distances
 
@@ -76,24 +77,38 @@ def _knn_indices(points: np.ndarray, k: int):
     """Ascending k-nearest-neighbor indices and distances, self excluded.
 
     Exact distance ties resolve in index order, as a stable argsort of each
-    row would, which makes the neighborhood graph deterministic.
+    row of the dense distance matrix would, which makes the neighborhood
+    graph deterministic. The cloud's own k-d tree supplies each point's k+2
+    nearest, itself included; cKDTree's distances equal cdist's bit for
+    bit. A row takes the dense stable argsort instead, over that row alone,
+    when the tree cannot settle it: a duplicate at distance 0 is listed
+    before the point itself, or the k-th and (k+1)-th neighbors tie. (With
+    the point listed first, its duplicates are ties like any other.)
     """
     n = points.shape[0]
     if k >= n:
         raise ValueError(f"k_neighbors must be below the point count, got k={k}, N={n}")
-    dist = pairwise_distances(points, points)
-    np.fill_diagonal(dist, np.inf)
-    # Each row's k+1 smallest distances, sorted by (distance, index). They
-    # are the stable argsort's first k+1 unless more entries tie with the
-    # largest of them; such rows take the full stable argsort.
-    order = np.argpartition(dist, k, axis=1)[:, : k + 1]
-    order_dist = np.take_along_axis(dist, order, axis=1)
-    order = np.take_along_axis(order, np.lexsort((order, order_dist), axis=1), axis=1)
-    tied = np.flatnonzero((dist <= order_dist.max(axis=1, keepdims=True)).sum(axis=1) > k + 1)
+    # At k = n - 1 the last column is cKDTree's (inf, n) filler, which
+    # ties with nothing.
+    dist, order = cKDTree(points).query(points, k + 2)
+    dense = np.flatnonzero((order[:, 0] != np.arange(n)) | (dist[:, k] == dist[:, k + 1]))
+    # Contiguous copies: numpy sums a strided view of more than 8192
+    # entries in buffered chunks, which would move the descriptor's scale
+    # in the last bit.
+    order, dist = order[:, 1 : k + 1].copy(), dist[:, 1 : k + 1].copy()
+    # The tree sorts each row by distance but lists equal distances in no
+    # set order; rows with a tie are sorted by (distance, index), as the
+    # stable argsort would.
+    tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
     if tied.size:
-        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, : k + 1]
-    order = order[:, :k]
-    return order, np.take_along_axis(dist, order, axis=1)
+        resort = np.lexsort((order[tied], dist[tied]), axis=1)
+        order[tied] = np.take_along_axis(order[tied], resort, axis=1)
+    if dense.size:
+        full = pairwise_distances(points[dense], points)
+        full[np.arange(dense.size), dense] = np.inf
+        order[dense] = np.argsort(full, axis=1, kind="stable")[:, :k]
+        dist[dense] = np.take_along_axis(full, order[dense], axis=1)
+    return order, dist
 
 
 def local_descriptor(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> np.ndarray:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ogmm import bench
+from ogmm import bench, registration
 from ogmm.bench import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -141,9 +141,10 @@ class TestRunBench:
         rows, summary = run_bench(TINY)
         assert len(rows) == 1 * 2 * 2  # cells x trials x methods
         assert [r["method"] for r in rows] == ["ogmm_unguided", "icp"] * 2
-        # Rows carry the CSV columns plus the flag and the failure text the
+        # Rows carry the CSV columns plus the flags and the failure text the
         # summary reports.
-        assert all(set(r) == set(CSV_COLUMNS) | {"gimbal_suspect", "message"} for r in rows)
+        extra = {"gimbal_suspect", "message", "converged"}
+        assert all(set(r) == set(CSV_COLUMNS) | extra for r in rows)
         assert summary["rows"] == len(rows)
         assert summary["errors"] == 0
 
@@ -187,6 +188,23 @@ class TestRunBench:
                 assert failed == clean
             else:
                 assert failed["error"] == "invalid" and failed["mae_r_deg"] is None
+
+    def test_summary_counts_icp_out_of_budget(self, monkeypatch):
+        rows, summary = run_bench(TINY)
+        methods = summary["cells"][0]["methods"]
+        assert [r["converged"] for r in rows] == [None, True] * 2
+        assert methods["icp"]["unconverged"] == 0
+        assert "unconverged" not in methods["ogmm_unguided"]
+        # One iteration is too few for these pairs: every ICP row runs out.
+        monkeypatch.setattr(registration, "ICP_MAX_ITER", 1)
+        rows, summary = run_bench(TINY)
+        assert [r["converged"] for r in rows] == [None, False] * 2
+        assert summary["cells"][0]["methods"]["icp"]["unconverged"] == 2
+        # The flag stays off the CSV.
+        lines = format_csv(rows).splitlines()
+        assert lines[0] == CSV_HEADER
+        assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines)
+        assert "False" not in format_csv(rows)
 
     def test_summary_means_match_rows(self):
         rows, summary = run_bench(TINY)

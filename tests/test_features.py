@@ -92,6 +92,78 @@ def knn_oracle(points, k):
     return order, np.take_along_axis(dist, order, axis=1)
 
 
+def reference_knn_indices(points: np.ndarray, k: int):
+    """The dense partial selection `_knn_indices` ran at every size, kept
+    verbatim as the oracle its indices and distances must match."""
+    n = points.shape[0]
+    if k >= n:
+        raise ValueError(f"k_neighbors must be below the point count, got k={k}, N={n}")
+    dist = pairwise_distances(points, points)
+    np.fill_diagonal(dist, np.inf)
+    # Each row's k+1 smallest distances, sorted by (distance, index). They
+    # are the stable argsort's first k+1 unless more entries tie with the
+    # largest of them; such rows take the full stable argsort.
+    order = np.argpartition(dist, k, axis=1)[:, : k + 1]
+    order_dist = np.take_along_axis(dist, order, axis=1)
+    order = np.take_along_axis(order, np.lexsort((order, order_dist), axis=1), axis=1)
+    tied = np.flatnonzero((dist <= order_dist.max(axis=1, keepdims=True)).sum(axis=1) > k + 1)
+    if tied.size:
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, : k + 1]
+    order = order[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def assert_knn_matches_dense(points, k):
+    got = _knn_indices(points, k)
+    for expected in (reference_knn_indices(points, k), knn_oracle(points, k)):
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+
+
+def shuffled_grid_rows(n: int) -> np.ndarray:
+    """The first n points of the 8x8x8 integer lattice, in a seeded order."""
+    grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1)
+    return grid.reshape(-1, 3)[:n][np.random.default_rng(n).permutation(n)]
+
+
+class TestKnnIndicesTree:
+    """The k-d tree path must match the dense selection it replaced, bit
+    for bit, on the inputs that send rows back to the dense argsort."""
+
+    @pytest.mark.parametrize("k", [5, 16])
+    def test_shape_clouds(self, k):
+        for n in (77, 128, 180, 512):
+            for kind in ("composite", "box", "sphere"):
+                assert_knn_matches_dense(sample_shape(kind, n, n).points, k)
+
+    def test_descriptor_bit_identical_to_dense_selection(self, monkeypatch):
+        # Past 8192 neighbor distances numpy sums a strided array in
+        # buffered chunks, so the statistics only repeat bit for bit if the
+        # returned arrays are laid out as the dense ones were.
+        cloud = sample_shape("box", 2048, 3)
+        cfg = FeatureConfig(d=16, k_neighbors=16)
+        got = local_descriptor(cloud, cfg)
+        monkeypatch.setattr(features, "_knn_indices", reference_knn_indices)
+        np.testing.assert_array_equal(got, local_descriptor(cloud, cfg))
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_coincident_points(self, k):
+        rng = np.random.default_rng(k)
+        base = rng.normal(size=(60, 3))
+        # Pairs and triples of copies, so self need not come first and
+        # duplicates sit at distance 0, some inside and some across the
+        # k-th boundary.
+        points = np.concatenate([base, base[:30], base[:10]])[rng.permutation(100)]
+        assert_knn_matches_dense(points, k)
+        assert_knn_matches_dense(np.repeat(base[:1], k + 3, axis=0), k)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_k_is_one_below_the_point_count(self, n):
+        points = np.random.default_rng(n).normal(size=(n, 3))
+        assert_knn_matches_dense(points, n - 1)
+        assert_knn_matches_dense(shuffled_grid_rows(n), n - 1)
+
+
 class TestKnnIndices:
     """The partial selection must return the stable argsort's neighbors, bit
     for bit, ties included."""

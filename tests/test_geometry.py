@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ogmm import geometry
 from ogmm.geometry import (
+    NN_TREE_MIN_POINTS,
     DegenerateGeometryError,
     EulerAnglesDeg,
     PointCloud,
@@ -22,6 +24,45 @@ from ogmm.geometry import (
 
 def random_rigid(seed):
     return random_transform(seed, rot_max_deg=179.0, trans_max=2.0)
+
+
+def reference_nearest_neighbors(queries: np.ndarray, target: PointCloud):
+    """The dense scan `nearest_neighbors` ran at every size, kept verbatim
+    as the oracle its indices and distances must match."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != 3:
+        raise ValueError(f"queries must have shape (M, 3), got {q.shape}")
+    d = pairwise_distances(q, target.points)
+    indices = np.argmin(d, axis=1)
+    return indices, d[np.arange(q.shape[0]), indices]
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Target sizes of the k-d trees nearest_neighbors builds."""
+    sizes = []
+    real = geometry.cKDTree
+
+    def recording(points, *args, **kwargs):
+        sizes.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", recording)
+    return sizes
+
+
+def assert_matches_dense_scan(queries, target):
+    idx, dist = nearest_neighbors(queries, target)
+    ref_idx, ref_dist = reference_nearest_neighbors(queries, target)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(dist, ref_dist)
+
+
+def shuffled_lattice(seed: int) -> np.ndarray:
+    """The 512 points of the 8x8x8 integer lattice in a seeded order, so
+    index order does not follow the geometry."""
+    grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1)
+    return grid.reshape(-1, 3)[np.random.default_rng(seed).permutation(512)]
 
 
 class TestEulerConversions:
@@ -268,6 +309,67 @@ class TestNearestNeighbor:
         d = pairwise_distances(pts, pts)
         np.testing.assert_allclose(d, d.T, atol=1e-12)
         assert np.all(np.diag(d) == 0.0)
+
+
+class TestNearestNeighborTree:
+    """The k-d tree path must return the dense scan's indices and distances
+    bit for bit, ties included; below NN_TREE_MIN_POINTS the dense scan
+    runs itself."""
+
+    @pytest.mark.parametrize(
+        "n", [NN_TREE_MIN_POINTS - 1, NN_TREE_MIN_POINTS, 4 * NN_TREE_MIN_POINTS]
+    )
+    def test_random_clouds_either_side_of_the_switch(self, tree_builds, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e3):
+            target = PointCloud(scale * rng.normal(size=(n, 3)))
+            queries = scale * rng.normal(size=(300, 3))
+            assert_matches_dense_scan(queries, target)
+            # ICP's queries: the cloud itself, slightly moved.
+            motion = random_transform(n, rot_max_deg=5.0, trans_max=0.01 * scale)
+            assert_matches_dense_scan(transform_points(motion, target.points), target)
+        assert tree_builds == ([] if n < NN_TREE_MIN_POINTS else [n] * 6)
+
+    @pytest.mark.parametrize("offset", [(0.5, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.5, 0.5)])
+    def test_lattice_queries_at_half_offsets_all_tie(self, tree_builds, offset):
+        # Each query sits midway between 2, 4 or 8 lattice points, so every
+        # row's nearest distance is shared and the lowest index must win.
+        points = shuffled_lattice(2)
+        target = PointCloud(points)
+        queries = points[np.all(points < 7.0, axis=1)] + np.array(offset)
+        idx, dist = nearest_neighbors(queries, target)
+        tied = np.sum(pairwise_distances(queries, points) == dist[:, None], axis=1)
+        assert np.all(tied == 2 ** int(np.count_nonzero(offset)))
+        assert_matches_dense_scan(queries, target)
+        assert tree_builds == [512, 512]
+
+    def test_duplicated_target_points(self, tree_builds):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(NN_TREE_MIN_POINTS // 2 + 1, 3))
+        points = np.concatenate([base, base, base[:7]])[rng.permutation(2 * len(base) + 7)]
+        target = PointCloud(points)
+        # Queries on the points themselves tie at distance 0 between copies.
+        assert_matches_dense_scan(points, target)
+        assert_matches_dense_scan(base + 0.01 * rng.normal(size=base.shape), target)
+        assert tree_builds == [len(points)] * 2
+
+    def test_queries_far_outside_the_cloud(self, tree_builds):
+        rng = np.random.default_rng(6)
+        target = PointCloud(rng.normal(size=(2 * NN_TREE_MIN_POINTS, 3)))
+        directions = rng.normal(size=(100, 3))
+        for distance in (1e2, 1e4, 1e6):
+            queries = distance * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+            assert_matches_dense_scan(queries, target)
+        assert len(tree_builds) == 3
+
+    @pytest.mark.parametrize("n", [NN_TREE_MIN_POINTS - 1, NN_TREE_MIN_POINTS])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_queries_rejected_on_both_paths(self, n, bad):
+        target = PointCloud(np.random.default_rng(7).normal(size=(n, 3)))
+        queries = np.zeros((4, 3))
+        queries[2, 1] = bad
+        with pytest.raises(ValueError, match="queries contain non-finite values"):
+            nearest_neighbors(queries, target)
 
 
 class TestFarthestPointSample:
