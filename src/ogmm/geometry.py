@@ -296,9 +296,17 @@ def farthest_point_sample(points: np.ndarray, count: int, seed: int) -> np.ndarr
     rng = np.random.default_rng(seed)
     chosen = np.empty(count, dtype=np.intp)
     chosen[0] = rng.integers(0, n)
-    best = np.linalg.norm(pts - pts[chosen[0]], axis=1)
+    # np.linalg.norm(pts - p, axis=1), written out as numpy computes it for
+    # real vectors (the root of the summed squares), into reused buffers.
+    diff = pts - pts[chosen[0]]
+    diff *= diff
+    best = np.sqrt(np.add.reduce(diff, axis=1))
+    dist = np.empty(n)
     for i in range(1, count):
         nxt = int(np.argmax(best))
         chosen[i] = nxt
-        np.minimum(best, np.linalg.norm(pts - pts[nxt], axis=1), out=best)
+        np.subtract(pts, pts[nxt], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=1, out=dist), out=dist)
+        np.minimum(best, dist, out=best)
     return chosen

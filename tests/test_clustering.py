@@ -2,17 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import ogmm.clustering
 from ogmm.clustering import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
+    SINKHORN_EPSILON_SCALE,
+    SINKHORN_MAX_ITER,
+    SINKHORN_TOL,
     ClusterAssignment,
     SoftAssignment,
+    _kmeans_balanced,
     _round_balanced,
     soft_assignment,
     wasserstein_kmeans,
 )
 from ogmm.geometry import PointCloud
 from ogmm.io import sample_shape
+from ogmm.transport import sinkhorn
 
 
 def row_entropy(scores):
@@ -46,6 +54,147 @@ def reference_round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
             deficit -= 1
     assert unassigned == 0, "rounding failed to place every point"
     return labels
+
+
+def reference_farthest_point_sample(points: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """`farthest_point_sample` before its norm was written out into reused
+    buffers, kept verbatim as an oracle."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if not (1 <= count <= n):
+        raise ValueError(f"count must lie in [1, {n}], got {count}")
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(count, dtype=np.intp)
+    chosen[0] = rng.integers(0, n)
+    best = np.linalg.norm(pts - pts[chosen[0]], axis=1)
+    for i in range(1, count):
+        nxt = int(np.argmax(best))
+        chosen[i] = nxt
+        np.minimum(best, np.linalg.norm(pts - pts[nxt], axis=1), out=best)
+    return chosen
+
+
+def reference_round_phased(plan: np.ndarray, n: int, j: int) -> np.ndarray:
+    """`_round_balanced` before deferred acceptance (vectorised phases, then
+    the greedy over Python lists for the last 2J rows), kept verbatim as an
+    oracle for the whole Lloyd loop."""
+    cap = math.ceil(n / j)
+    floor = n // j
+    labels = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(j, dtype=np.int64)
+    deficit = floor * j
+    rows = np.arange(n)
+    while rows.size > 2 * j:
+        open_ = sizes < (floor if rows.size == deficit else cap)
+        masked = np.where(open_, plan[rows], -np.inf)
+        choice = np.argmax(masked, axis=1)
+        value = masked[np.arange(rows.size), choice]
+        order = np.lexsort((rows, -value))
+        rows, choice = rows[order], choice[order]
+        # Size of each point's cluster just before the point is placed, if
+        # every point ahead of it in this phase is placed.
+        by_cluster = np.argsort(choice, kind="stable")
+        grouped = choice[by_cluster]
+        rank = np.empty(rows.size, dtype=np.int64)
+        rank[by_cluster] = np.arange(rows.size) - np.searchsorted(grouped, grouped)
+        size_before = sizes[choice] + rank
+        needy = size_before < floor
+        deficit_before = deficit - np.concatenate(([0], np.cumsum(needy)[:-1]))
+        unassigned_before = rows.size - np.arange(rows.size)
+        refused = (size_before >= cap) | ((unassigned_before == deficit_before) & ~needy)
+        stop = int(np.argmax(refused)) if refused.any() else rows.size
+        labels[rows[:stop]] = choice[:stop]
+        sizes += np.bincount(choice[:stop], minlength=j)
+        deficit -= int(needy[:stop].sum())
+        rows = rows[stop:]
+    # The tail: the entry-by-entry greedy over the remaining rows' entries,
+    # in the same order (mass descending, then flat index). An entry it
+    # visited earlier for one of these rows was refused by a cluster that
+    # is still closed, so starting their entries afresh changes nothing.
+    rows = np.sort(rows)
+    order = np.argsort(-plan[rows].ravel(), kind="stable").tolist()
+    rows, sizes = rows.tolist(), sizes.tolist()
+    unassigned = len(rows)
+    placed = [False] * unassigned
+    for flat in order:
+        if unassigned == 0:
+            break
+        i, l = divmod(flat, j)
+        if placed[i] or sizes[l] >= cap:
+            continue
+        needy = sizes[l] < floor
+        if unassigned == deficit and not needy:
+            continue
+        labels[rows[i]] = l
+        placed[i] = True
+        sizes[l] += 1
+        unassigned -= 1
+        deficit -= needy
+    return labels
+
+
+def reference_kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
+    """`_kmeans_balanced` before its Lloyd steps reused their buffers, kept
+    verbatim with the two functions above as the oracle for every field of
+    a k-means run."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    j = n_clusters
+    if not (1 <= j <= n):
+        raise ValueError(f"n_clusters must lie in [1, {n}], got {j}")
+    centroids = x[reference_farthest_point_sample(x, j, seed)]
+    row_mass = np.full(n, 1.0 / n)
+    col_mass = np.full(j, 1.0 / j)
+    best = None
+    prev_obj = np.inf
+    history = []
+    n_iter = 0
+    calls = iterations = unconverged = 0
+    error_max = 0.0
+    # Column potentials in cost units, each solve starting from the last.
+    potentials = np.zeros(j)
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
+        cost = cdist(x, centroids, "sqeuclidean")
+        epsilon = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
+        plan = sinkhorn(
+            cost, row_mass, col_mass,
+            epsilon=epsilon, max_iter=SINKHORN_MAX_ITER, tol=SINKHORN_TOL,
+            init=potentials,
+        )
+        potentials = plan.potentials
+        calls += 1
+        iterations += plan.iterations
+        unconverged += not plan.converged
+        error_max = max(error_max, plan.marginal_error)
+        labels = reference_round_phased(plan.matrix, n, j)
+        gamma = np.zeros((n, j))
+        gamma[np.arange(n), labels] = 1.0
+        sizes = gamma.sum(axis=0)
+        centroids_new = (gamma.T @ x) / sizes[:, None]
+        obj = float(np.sum((x - centroids_new[labels]) ** 2))
+        if obj > prev_obj:
+            # The balanced rounding is a heuristic; if a step regresses,
+            # keep the previous state so the reported history is monotone.
+            n_iter -= 1
+            break
+        best = (labels, centroids_new, obj)
+        history.append(obj)
+        if prev_obj - obj < KMEANS_TOL:
+            break
+        prev_obj = obj
+        centroids = centroids_new
+    assert best is not None
+    labels, centroids, obj = best
+    gamma = np.zeros((n, j), dtype=np.uint8)
+    gamma[np.arange(n), labels] = 1
+    sizes = gamma.sum(axis=0).astype(np.int64)
+    return ClusterAssignment(
+        gamma, centroids, sizes, obj, n_iter, tuple(history),
+        sinkhorn_calls=calls,
+        sinkhorn_iterations=iterations,
+        sinkhorn_unconverged=unconverged,
+        sinkhorn_marginal_error_max=error_max,
+    )
 
 
 def assert_rounds_like_reference(plan, n, j):
@@ -137,6 +286,44 @@ class TestRoundBalancedMatchesGreedy:
                 assert_rounds_like_reference(np.full((n, j), 1.0), n, j)
                 skewed = rng.uniform(0.5, 1.0, size=(n, j)) * 10.0 ** -np.arange(j)
                 assert_rounds_like_reference(skewed, n, j)
+
+    # Deferred acceptance: the cases below make refused rows travel far and
+    # contend for the extra slots of the n % j pool.
+    def test_long_displacement_chains(self):
+        # Every row ranks the clusters in one shared order (a factor of ten
+        # apart), so round 1 sends every row to cluster 0 and the refused
+        # rows cascade down the order one cluster at a time. Each cluster
+        # ranks the rows by its own drifting mass, so a row arriving later
+        # displaces holders that rank below it, all along the chain. The
+        # coarse copy makes the clusters' rankings tie, and the ties must
+        # fall to the lower row as in the greedy.
+        rng = np.random.default_rng(27)
+        for n, j in ((600, 16), (599, 16), (517, 8), (300, 3), (97, 16), (64, 2)):
+            phase = np.outer(np.arange(n), rng.uniform(0.01, 0.3, j)) + rng.uniform(0, 6, j)
+            drift = 1.0 + 0.4 * np.sin(phase)
+            scale = 10.0 ** -np.arange(j)
+            assert_rounds_like_reference(drift * scale, n, j)
+            assert_rounds_like_reference(np.round(4 * drift) * scale, n, j)
+
+    def test_extras_pool_evictions(self):
+        # n % j of 1 and of j - 1: one extra slot with every cluster
+        # contending for it, or all but one. Rows crowd onto a few favourite
+        # clusters, so most clusters overflow round 1 and bid for the pool,
+        # and bids arriving later from refused rows must evict the weakest
+        # extra held. Coarse masses tie across rows and across clusters.
+        rng = np.random.default_rng(28)
+        for j in (3, 7, 12, 16):
+            for n in sorted({5 * j + 1, 6 * j - 1, 37 * j + 1, (600 // j) * j - 1}):
+                assert n % j in (1, j - 1)
+                crowd = rng.uniform(size=(n, j)) * rng.uniform(0.05, 1.0, size=j) ** 2
+                assert_rounds_like_reference(crowd, n, j)
+                assert_rounds_like_reference(crowd ** 6, n, j)
+                assert_rounds_like_reference(np.floor(crowd * 6), n, j)
+                favourite = rng.integers(0, max(2, j // 3), size=n)
+                plan = rng.uniform(0.0, 0.5, size=(n, j))
+                plan[np.arange(n), favourite] += rng.integers(1, 4, size=n)
+                assert_rounds_like_reference(plan, n, j)
+                assert_rounds_like_reference(np.round(plan), n, j)
 
 
 class TestRoundBalanced:
@@ -269,6 +456,58 @@ class TestWassersteinKmeans:
         bad[0] = [1, 1]
         with pytest.raises(ValueError, match="exactly one"):
             ClusterAssignment(bad, np.zeros((2, 3)), np.array([3, 1]), 0.0, 1, (0.0,))
+        # Within one of N/J, but not a floor/ceiling split: 64 points in two
+        # clusters must be 32 and 32.
+        uneven = np.zeros((64, 2), dtype=np.uint8)
+        uneven[:31, 0] = 1
+        uneven[31:, 1] = 1
+        with pytest.raises(ValueError, match="deviate"):
+            ClusterAssignment(uneven, np.zeros((2, 3)), np.array([31, 33]), 0.0, 1, (0.0,))
+        even = uneven.copy()
+        even[31] = [1, 0]
+        ClusterAssignment(even, np.zeros((2, 3)), np.array([32, 32]), 0.0, 1, (0.0,))
+
+
+def _oracle_clouds():
+    rng = np.random.default_rng(29)
+    duplicated = rng.normal(size=(40, 3))[rng.integers(0, 40, size=200)]
+    return [
+        ("77x8-3d", sample_shape("composite", 77, seed=1).points, 8),
+        ("180x16-3d", sample_shape("torus", 180, seed=2).points, 16),
+        ("256x8-32d", rng.normal(size=(256, 32)), 8),
+        ("512x16-3d", sample_shape("composite", 512, seed=3).points, 16),
+        ("512x16-32d", np.tanh(rng.normal(size=(512, 32)) @ rng.normal(size=(32, 32))), 16),
+        ("200x8-duplicated", duplicated, 8),
+    ]
+
+
+@pytest.mark.parametrize(
+    "points, j", [case[1:] for case in _oracle_clouds()], ids=[case[0] for case in _oracle_clouds()]
+)
+def test_lloyd_loop_matches_the_oracle(points, j):
+    """Every field of a k-means run equals the oracle's, bit for bit: the
+    rounding, the farthest-point start and the Lloyd bookkeeping changed how
+    they compute, not what."""
+    for seed in (0, 5):
+        got = _kmeans_balanced(points, j, seed)
+        want = reference_kmeans_balanced(points, j, seed)
+        np.testing.assert_array_equal(got.gamma, want.gamma)
+        np.testing.assert_array_equal(got.sizes, want.sizes)
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+        assert got.objective == want.objective
+        assert got.history == want.history
+        assert got.n_iter == want.n_iter
+        assert (
+            got.sinkhorn_calls,
+            got.sinkhorn_iterations,
+            got.sinkhorn_unconverged,
+            got.sinkhorn_marginal_error_max,
+        ) == (
+            want.sinkhorn_calls,
+            want.sinkhorn_iterations,
+            want.sinkhorn_unconverged,
+            want.sinkhorn_marginal_error_max,
+        )
 
 
 class TestSoftAssignment:

@@ -254,6 +254,12 @@ class TestSinkhornEdges:
         with pytest.raises(ValueError, match="negative"):
             sinkhorn(np.zeros((2, 2)), np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
 
+    def test_non_finite_marginal_rejected(self):
+        # Reported as non-finite even beside a negative entry.
+        for row in ([np.nan, 1.0], [np.inf, 0.5], [-np.inf, 1.0], [np.nan, -1.0], [-1.0, np.inf]):
+            with pytest.raises(ValueError, match="row_marginal contains non-finite"):
+                sinkhorn(np.zeros((2, 2)), np.array(row), np.array([0.5, 0.5]))
+
     def test_zero_total_mass_rejected(self):
         with pytest.raises(ValueError, match="no mass"):
             sinkhorn(np.zeros((2, 2)), np.zeros(2), np.array([0.5, 0.5]))
@@ -271,6 +277,12 @@ class TestSinkhornEdges:
     def test_plan_type_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="negative"):
             TransportPlan(np.array([[-0.1, 0.2], [0.3, 0.4]]), True, 1, 0.0)
+
+    def test_plan_type_rejects_non_finite_entries(self):
+        for bad in ([np.nan, 0.2], [np.inf, 0.2], [-np.inf, 0.2], [-0.1, np.nan]):
+            with pytest.raises(ValueError, match="non-finite"):
+                TransportPlan(np.array([bad, [0.3, 0.4]]), True, 1, 0.0)
+        assert TransportPlan(np.zeros((0, 3)), True, 1, 0.0).matrix.shape == (0, 3)
 
     def test_rectangular_shapes_supported(self):
         cost = np.random.default_rng(6).uniform(0, 1, size=(5, 3))
