@@ -68,11 +68,15 @@ class ClusterAssignment:
             raise ValueError(f"gamma must be a matrix, got shape {g.shape}")
         if not np.all((g == 0) | (g == 1)):
             raise ValueError("gamma must be binary")
-        if not np.all(g.sum(axis=1) == 1):
-            raise ValueError("every row of gamma must select exactly one cluster")
+        # Exact, since gamma is binary; a row's argmax is then its first one.
+        g = g.astype(np.uint8)
         n, j = g.shape
+        labels = g.view(np.bool_).argmax(axis=1) if j else np.zeros(n, dtype=np.intp)
+        # n ones in all, one of them at each row's argmax: one per row.
+        if np.count_nonzero(g) != n or not g.ravel()[np.arange(n) * j + labels].all():
+            raise ValueError("every row of gamma must select exactly one cluster")
         sizes = np.asarray(self.sizes)
-        if sizes.shape != (j,) or not np.array_equal(sizes, g.sum(axis=0)):
+        if sizes.shape != (j,) or not np.array_equal(sizes, np.bincount(labels, minlength=j)):
             raise ValueError("sizes must equal the gamma column sums")
         lo, hi = n // j, -(-n // j)
         if sizes.size and (sizes.min() < lo or sizes.max() > hi):
@@ -80,7 +84,6 @@ class ClusterAssignment:
         c = np.asarray(self.centroids, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] != j or not np.all(np.isfinite(c)):
             raise ValueError("centroids must be a finite (J, dim) matrix")
-        g = g.astype(np.uint8)
         g.flags.writeable = False
         sizes = sizes.astype(np.int64)
         sizes.flags.writeable = False

@@ -74,11 +74,10 @@ class RegisterConfig:
 
     Defaults follow the full-scale protocol: 72 geometric clusters, 48
     mixture components, 5-neighbor statistics, predicted overlap, the
-    transport solve and one start. desk() shrinks the cluster counts for
-    fast interactive runs and, because the seeded descriptor has no
-    training to lean on, widens the statistics neighborhood to 16 and takes
-    the best of 3 starts. Everything else (feature width, attention heads,
-    temperatures, seeds) is a module constant.
+    transport solve and one start. starts applies only to calls that pass
+    their own overlap weights (see register); the predicted and all-ones
+    arms always run one start. Everything else (feature width, attention
+    heads, temperatures, seeds) is a module constant.
     """
 
     k_neighbors: int = 5
@@ -100,6 +99,10 @@ class RegisterConfig:
 
     @classmethod
     def desk(cls, **overrides) -> "RegisterConfig":
+        """Small-scale settings for interactive runs: 16 geometric clusters
+        and 8 components, and a 16-neighbor statistics neighborhood, since
+        the seeded descriptor has no training to lean on. Its 3 starts run
+        only when the caller supplies overlap weights."""
         params = {"n_geo_clusters": 16, "n_components": 8, "k_neighbors": 16, "starts": 3}
         params.update(overrides)
         return cls(**params)
@@ -283,13 +286,16 @@ def register(
     """Estimate the rigid motion aligning source onto target.
 
     Overlap overrides replace the predicted scores (pass ground-truth labels
-    for an oracle run, or all-ones to disable overlap guidance). starts > 1
-    re-runs the pipeline with stepped feature and clustering seeds (start i
-    uses FEATURE_SEED + i and CLUSTER_SEED + i) and keeps the estimate with
-    the lowest overlap-weighted nearest-neighbor residual; partitions are
-    the one seed-sensitive stage, so a handful of restarts buys most of the
-    available robustness. The attention weights and fixed overlap scores do
-    not depend on the start and are built once per call.
+    for an oracle run, or an external predictor's scores). With overrides
+    (all-ones arrays included), config.starts > 1 re-runs the pipeline with stepped feature and
+    clustering seeds (start i uses FEATURE_SEED + i and CLUSTER_SEED + i)
+    and keeps the estimate with the lowest overlap-weighted
+    nearest-neighbor residual. Without them (predicted or all-ones overlap)
+    one start runs whatever config.starts says: that residual then does
+    not reliably identify the right motion, and further starts cost time
+    without lowering the mean error. diagnostics["starts"] is the number
+    of starts run. The attention weights and fixed overlap scores do not
+    depend on the start and are built once per call.
     """
     start = time.perf_counter()
     n_p, n_q = len(source), len(target)
@@ -302,13 +308,15 @@ def register(
     stage_ms = dict.fromkeys(STAGES, 0.0)
     overlap = _fixed_overlap(config, overlap_source, overlap_target, n_p, n_q)
     weights = _seeded_weights(overlap is None, stage_ms)
+    # Only the caller's overlap weights let the residual select a start.
+    starts = config.starts if overlap_source is not None else 1
     best = None
     residuals = []
     # Each start's matching solve, so an unconverged solve in a start that
     # lost the selection still shows; None marks a start without one.
     start_solves = []
     failure = None
-    for i in range(config.starts):
+    for i in range(starts):
         try:
             attempt = _register_once(source, target, config, i, weights, overlap, stage_ms)
         except DegenerateGeometryError as exc:
@@ -317,7 +325,7 @@ def register(
             start_solves.append(None)
             continue
         start_solves.append(attempt.plan)
-        if config.starts == 1:
+        if starts == 1:
             best = (0.0, i, attempt)
             break
         with _timed(stage_ms, "restart_selection"):
@@ -332,9 +340,9 @@ def register(
     diagnostics = dict(result.diagnostics)
     diagnostics["runtime_ms"] = elapsed
     diagnostics["stage_ms"] = stage_ms
-    diagnostics["starts"] = int(config.starts)
+    diagnostics["starts"] = starts
     diagnostics["chosen_start"] = int(chosen)
-    if config.starts > 1:
+    if starts > 1:
         diagnostics["start_residuals"] = [float(r) for r in residuals]
         diagnostics["start_sinkhorn_iterations"] = [
             None if p is None else int(p.iterations) for p in start_solves

@@ -467,6 +467,42 @@ class TestWassersteinKmeans:
         even[31] = [1, 0]
         ClusterAssignment(even, np.zeros((2, 3)), np.array([32, 32]), 0.0, 1, (0.0,))
 
+    @pytest.mark.parametrize(
+        "rows, sizes, message",
+        [
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 1], "exactly one"),
+            ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 1], "exactly one"),
+            # As many ones as rows, but two in one row and none in another.
+            ([[1, 1, 0], [0, 0, 0], [0, 0, 1]], [1, 1, 1], "exactly one"),
+            ([[0, 0, 0], [1, 0, 1], [0, 1, 0]], [1, 1, 1], "exactly one"),
+            ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], "binary"),
+            ([[0.5, 0.5, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], "binary"),
+            ([[np.nan, 1, 0], [0, 1, 0], [0, 0, 1]], [0, 2, 1], "binary"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 1], "column sums"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1], "column sums"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1.5, 0.5, 1], "column sums"),
+        ],
+    )
+    def test_assignment_rejects_malformed_gamma(self, rows, sizes, message):
+        gamma = np.array(rows, dtype=np.float64)
+        # Only a float gamma holds the non-binary entries.
+        for dtype in (np.float64,) if message == "binary" else (np.uint8, np.float64, np.bool_):
+            with pytest.raises(ValueError, match=message):
+                ClusterAssignment(
+                    gamma.astype(dtype), np.zeros((3, 3)), np.array(sizes), 0.0, 1, (0.0,)
+                )
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, np.bool_])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_assignment_stores_gamma_as_uint8(self, dtype, order):
+        labels = np.array([2, 0, 1, 1, 0, 2, 2, 0, 1])
+        gamma = np.zeros((9, 3), dtype=dtype, order=order)
+        gamma[np.arange(9), labels] = 1
+        run = ClusterAssignment(gamma, np.zeros((3, 2)), np.array([3, 3, 3]), 0.0, 1, (0.0,))
+        assert run.gamma.dtype == np.uint8 and not run.gamma.flags.writeable
+        np.testing.assert_array_equal(run.gamma.argmax(axis=1), labels)
+        np.testing.assert_array_equal(run.gamma, gamma.astype(np.uint8))
+
 
 def _oracle_clouds():
     rng = np.random.default_rng(29)
@@ -635,7 +671,13 @@ class TestKmeansSinkhornCounters:
         monkeypatch.setattr(registration, "_register_once", once)
         pair = make_pair(PairSpec(n_points=160, overlap_keep_fraction=0.7, seed=3))
         config = registration.RegisterConfig.desk(starts=starts)
-        diagnostics = registration.register(pair.source, pair.target, config).diagnostics
+        # Restarts run only where the caller supplies the overlap weights.
+        diagnostics = registration.register(
+            pair.source, pair.target, config,
+            overlap_source=pair.gt_overlap_source.astype(np.float64),
+            overlap_target=pair.gt_overlap_target.astype(np.float64),
+        ).diagnostics
+        assert diagnostics["starts"] == starts
         bounds = first_call + [len(seen)]
         chosen = diagnostics["chosen_start"]
         expected = self._totals(seen[bounds[chosen]:bounds[chosen + 1]])

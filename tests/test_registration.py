@@ -33,6 +33,14 @@ from ogmm.registration import (
 DESK = RegisterConfig.desk()
 
 
+def _labels(pair):
+    """The pair's ground-truth overlap labels as register's overrides."""
+    return dict(
+        overlap_source=pair.gt_overlap_source.astype(np.float64),
+        overlap_target=pair.gt_overlap_target.astype(np.float64),
+    )
+
+
 def rotation_angle_deg(r_a, r_b):
     cos = (np.trace(r_a.T @ r_b) - 1.0) / 2.0
     return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
@@ -153,7 +161,7 @@ class TestRegister:
 
         monkeypatch.setattr(ogmm.mixture, "sinkhorn", sinkhorn)
         pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=9))
-        diagnostics = register(pair.source, pair.target, DESK).diagnostics
+        diagnostics = register(pair.source, pair.target, DESK, **_labels(pair)).diagnostics
         assert len(solves) == DESK.starts
         assert diagnostics["start_sinkhorn_iterations"] == [p.iterations for p in solves]
         assert diagnostics["start_sinkhorn_converged"] == [p.converged for p in solves]
@@ -161,14 +169,19 @@ class TestRegister:
         assert diagnostics["sinkhorn_iterations"] == solves[chosen].iterations
         assert diagnostics["sinkhorn_converged"] == solves[chosen].converged
 
-        single = register(pair.source, pair.target, RegisterConfig.desk(starts=1)).diagnostics
+        single = register(
+            pair.source, pair.target, RegisterConfig.desk(starts=1), **_labels(pair)
+        ).diagnostics
         assert "start_sinkhorn_iterations" not in single
         assert "start_sinkhorn_converged" not in single
 
     def test_starts_without_a_matching_solve_report_none(self):
         cloud = sample_shape("composite", 96, seed=4)
         config = RegisterConfig.desk(solver="l2", starts=2)
-        diagnostics = register(cloud, cloud, config).diagnostics
+        ones = np.ones(len(cloud))
+        diagnostics = register(
+            cloud, cloud, config, overlap_source=ones, overlap_target=ones
+        ).diagnostics
         assert diagnostics["start_sinkhorn_iterations"] == [None, None]
         assert diagnostics["start_sinkhorn_converged"] == [None, None]
 
@@ -184,30 +197,71 @@ class TestRegister:
         monkeypatch.setattr(registration, "clustered_cross_attention", cross)
         pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=9))
         config = RegisterConfig.desk(overlap_mode="ones" if mode == "ones" else "predicted")
-        overrides = {}
-        if mode == "override":
-            overrides = dict(
-                overlap_source=pair.gt_overlap_source.astype(np.float64),
-                overlap_target=pair.gt_overlap_target.astype(np.float64),
-            )
+        overrides = _labels(pair) if mode == "override" else {}
         diagnostics = register(pair.source, pair.target, config, **overrides).diagnostics
-        # Two calls per start (one per cloud) on the predicted arm, none on
-        # the arms that bypass the overlap head.
-        assert len(calls) == (2 * config.starts if mode == "predicted" else 0)
+        # Two calls (one per cloud) on the predicted arm, which runs one
+        # start; none on the arms that bypass the overlap head, including
+        # the override arm's 3 starts.
+        assert diagnostics["starts"] == (config.starts if mode == "override" else 1)
+        assert len(calls) == (2 if mode == "predicted" else 0)
         assert diagnostics["overlap_origin"] == mode
         assert (diagnostics["stage_ms"]["cross_attention"] > 0.0) == (mode == "predicted")
 
     @pytest.mark.parametrize("config", [DESK, RegisterConfig.desk(starts=1, solver="l2")])
     def test_stage_times_cover_the_run(self, config):
         pair = make_pair(PairSpec(n_points=256, overlap_keep_fraction=0.7, seed=5))
-        diagnostics = register(pair.source, pair.target, config).diagnostics
-        stage_ms = diagnostics["stage_ms"]
-        assert tuple(stage_ms) == registration.STAGES
-        assert all(ms >= 0.0 for ms in stage_ms.values())
-        assert (stage_ms["matching"] > 0.0) == (config.solver == "transport")
-        assert (stage_ms["restart_selection"] > 0.0) == (config.starts > 1)
-        total = sum(stage_ms.values())
-        assert 0.8 * diagnostics["runtime_ms"] <= total <= diagnostics["runtime_ms"]
+        # With the caller's overlap and without it: only the former restarts.
+        for overrides in (_labels(pair), {}):
+            diagnostics = register(pair.source, pair.target, config, **overrides).diagnostics
+            stage_ms = diagnostics["stage_ms"]
+            assert tuple(stage_ms) == registration.STAGES
+            assert all(ms >= 0.0 for ms in stage_ms.values())
+            assert (stage_ms["matching"] > 0.0) == (config.solver == "transport")
+            assert diagnostics["starts"] == (config.starts if overrides else 1)
+            assert (stage_ms["restart_selection"] > 0.0) == (diagnostics["starts"] > 1)
+            total = sum(stage_ms.values())
+            assert 0.8 * diagnostics["runtime_ms"] <= total <= diagnostics["runtime_ms"]
+
+    @pytest.mark.parametrize("mode", ["predicted", "ones", "override"])
+    def test_restarts_run_only_with_caller_supplied_overlap(self, monkeypatch, mode):
+        # The selector's residual identifies the right start only under the
+        # caller's weights, so the predicted and all-ones arms run one start
+        # whatever config.starts says.
+        real = registration.encode
+        calls = []
+
+        def encode(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "encode", encode)
+        pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=8))
+        config = RegisterConfig.desk(overlap_mode="ones" if mode == "ones" else "predicted")
+        overrides = _labels(pair) if mode == "override" else {}
+        result = register(pair.source, pair.target, config, **overrides)
+        diagnostics = result.diagnostics
+        if mode == "override":
+            assert len(calls) == 2 * config.starts == 6
+            assert diagnostics["starts"] == config.starts
+            residuals = diagnostics["start_residuals"]
+            assert len(residuals) == config.starts
+            # This pair's last start wins, so the selection is seen to act.
+            assert diagnostics["chosen_start"] == int(np.argmin(residuals)) == 2
+            assert registration._alignment_residual(
+                result, pair.source, pair.target
+            ) == min(residuals)
+            assert diagnostics["stage_ms"]["restart_selection"] > 0.0
+            return
+        assert len(calls) == 2
+        assert diagnostics["starts"] == 1
+        assert diagnostics["chosen_start"] == 0
+        assert diagnostics["stage_ms"]["restart_selection"] == 0.0
+        for key in ("start_residuals", "start_sinkhorn_iterations", "start_sinkhorn_converged"):
+            assert key not in diagnostics
+        single = register(pair.source, pair.target, replace(config, starts=1))
+        assert np.array_equal(result.transform.rotation, single.transform.rotation)
+        assert np.array_equal(result.transform.translation, single.transform.translation)
+        assert np.array_equal(result.overlap_source, single.overlap_source)
 
     def test_oracle_pair_with_empty_components_converges(self, monkeypatch):
         # Criterion 9's keep-0.3 seed-13 oracle pair: most components hold
