@@ -43,7 +43,7 @@ from .io import (
 from .bench import BenchConfig, BenchConfigError, genpairs, report, run_bench
 from .losses import binary_cross_entropy, gradient_check, overlap_score_loss, welsch
 from .metrics import ccd, geodesic_rotation_deg, mae_rotation, mae_translation, near_gimbal_lock
-from .mixture import WeightedGmm, estimate_gmm, gmm_l2_svd, match_components, weighted_svd
+from .mixture import WeightedGmm, estimate_gmm, match_components, weighted_svd
 from .registration import RegisterConfig, RegistrationResult, icp_baseline, register
 from .transport import TransportPlan, sinkhorn
 

@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .registration import RegisterConfig, icp_baseline, register
 
-METHODS = ("ogmm", "ogmm_unguided", "ogmm_oracle_overlap", "icp", "gmm_l2")
+METHODS = ("ogmm", "ogmm_unguided", "ogmm_oracle_overlap", "icp")
 
 CSV_COLUMNS = (
     "method", "overlap_fraction", "n_components", "noise_sigma", "density_keep",
@@ -41,10 +41,9 @@ METRIC_COLUMNS = ("mae_r_deg", "mae_t", "ccd", "geodesic_deg", "runtime_ms")
 # The RegisterConfig fields each pipeline arm fixes; the cell sets
 # n_components and the oracle arm also passes the ground-truth labels.
 _ARM_SETTINGS = {
-    "ogmm": {"solver": "transport", "overlap_mode": "predicted"},
-    "ogmm_unguided": {"solver": "transport", "overlap_mode": "ones"},
-    "ogmm_oracle_overlap": {"solver": "transport"},
-    "gmm_l2": {"solver": "l2", "overlap_mode": "ones"},
+    "ogmm": {"overlap_mode": "predicted"},
+    "ogmm_unguided": {"overlap_mode": "ones"},
+    "ogmm_oracle_overlap": {},
 }
 
 

@@ -219,17 +219,3 @@ def weighted_svd(
     translation = centroid_q - rotation @ centroid_p
     return RigidTransform(rotation, translation)
 
-
-def gmm_l2_svd(gmm_p: WeightedGmm, gmm_q: WeightedGmm) -> RigidTransform:
-    """Covariance-weighted alternative solve without component transport.
-
-    Components are paired by index; each pair's influence is
-    (weight_p + weight_q) / (eps + spectral_p + spectral_q), so wide or
-    weak components count less. Requires equal component counts.
-    """
-    if gmm_p.n_components != gmm_q.n_components:
-        raise ValueError("mixtures must share the component count")
-    spec_p = np.linalg.eigvalsh(gmm_p.covariances)[:, -1]
-    spec_q = np.linalg.eigvalsh(gmm_q.covariances)[:, -1]
-    diag = (gmm_p.weights + gmm_q.weights) / (MOMENT_EPS + spec_p + spec_q)
-    return weighted_svd(gmm_p.means, gmm_q.means, np.diag(diag))

@@ -4,7 +4,8 @@ The pipeline is deterministic for fixed seeds: encode both clouds with the
 same weights, cluster geometrically, refine features with shared-weight
 self- and cross-attention, score per-point overlap, estimate one weighted
 mixture per cloud, couple the components by entropic transport over feature
-distances, and close with a weighted Procrustes solve.
+distances, and close with a weighted Procrustes solve on the component means
+under that plan.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .mixture import (
     WeightedGmm,
     _kabsch_rotation,
     estimate_gmm,
-    gmm_l2_svd,
     match_components,
     weighted_svd,
 )
@@ -59,7 +58,6 @@ CLUSTER_SEED = 2
 ICP_MAX_ITER = 50
 ICP_TOL = 1e-8
 OVERLAP_MODES = ("predicted", "ones")
-SOLVERS = ("transport", "l2")
 # The pipeline stages `register` times, in pipeline order; its diagnostics
 # report each one's milliseconds summed over starts under "stage_ms".
 STAGES = (
@@ -73,25 +71,24 @@ class RegisterConfig:
     """The pipeline settings callers vary.
 
     Defaults follow the full-scale protocol: 72 geometric clusters, 48
-    mixture components, 5-neighbor statistics, predicted overlap, the
-    transport solve and one start. starts applies only to calls that pass
-    their own overlap weights (see register); the predicted and all-ones
-    arms always run one start. Everything else (feature width, attention
-    heads, temperatures, seeds) is a module constant.
+    mixture components, 5-neighbor statistics, predicted overlap and one
+    start. Every start solves the same way: transport between the mixture
+    components, then a weighted Procrustes solve under that plan. starts
+    applies only to calls that pass their own overlap weights (see
+    register); the predicted and all-ones arms always run one start.
+    Everything else (feature width, attention heads, temperatures, seeds)
+    is a module constant.
     """
 
     k_neighbors: int = 5
     n_geo_clusters: int = 72
     n_components: int = 48
     overlap_mode: str = "predicted"
-    solver: str = "transport"
     starts: int = 1
 
     def __post_init__(self):
         if self.overlap_mode not in OVERLAP_MODES:
             raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
         if self.n_geo_clusters < 1 or self.n_components < 1:
             raise ValueError("cluster counts must be positive")
         if self.starts < 1:
@@ -117,7 +114,7 @@ class RegistrationResult:
     overlap_target: np.ndarray
     gmm_source: WeightedGmm
     gmm_target: WeightedGmm
-    plan: Optional[TransportPlan]
+    plan: TransportPlan
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -229,19 +226,13 @@ def _register_once(
         gmm_p = estimate_gmm(source.with_features(f_p), soft_p, o_p)
         gmm_q = estimate_gmm(target.with_features(f_q), soft_q, o_q)
 
-    if config.solver == "transport":
-        with _timed(stage_ms, "matching"):
-            plan = match_components(gmm_p, gmm_q)
-        with _timed(stage_ms, "procrustes"):
-            transform = weighted_svd(gmm_p.means, gmm_q.means, plan.matrix)
-    else:
-        plan = None
-        with _timed(stage_ms, "procrustes"):
-            transform = gmm_l2_svd(gmm_p, gmm_q)
+    with _timed(stage_ms, "matching"):
+        plan = match_components(gmm_p, gmm_q)
+    with _timed(stage_ms, "procrustes"):
+        transform = weighted_svd(gmm_p.means, gmm_q.means, plan.matrix)
 
     diagnostics = {
         "overlap_origin": overlap_origin,
-        "solver": config.solver,
         "kmeans_iterations_source": int(geo_p.n_iter),
         "kmeans_iterations_target": int(geo_q.n_iter),
         "overlap_mass_source": float(o_p.sum()),
@@ -257,23 +248,21 @@ def _register_once(
     diagnostics["kmeans_sinkhorn_marginal_error_max"] = max(
         r.sinkhorn_marginal_error_max for r in kmeans_runs
     )
-    if plan is not None:
-        diagnostics["sinkhorn_iterations"] = int(plan.iterations)
-        diagnostics["sinkhorn_converged"] = bool(plan.converged)
-        diagnostics["sinkhorn_marginal_error"] = float(plan.marginal_error)
+    diagnostics["sinkhorn_iterations"] = int(plan.iterations)
+    diagnostics["sinkhorn_converged"] = bool(plan.converged)
+    diagnostics["sinkhorn_marginal_error"] = float(plan.marginal_error)
     return RegistrationResult(transform, o_p, o_q, gmm_p, gmm_q, plan, diagnostics)
 
 
 def _alignment_residual(result: RegistrationResult, source: PointCloud, target: PointCloud) -> float:
     """Overlap-weighted mean nearest-neighbor distance after applying the
-    estimate; the restart selector. Uses only quantities the run produced."""
+    estimate; the restart selector. Uses only quantities the run produced.
+    The weights carry mass: a start whose source overlap sums to zero fails
+    in match_components and is never scored."""
     moved = transform_points(result.transform, source.points)
     _, dists = nearest_neighbors(moved, target)
     weights = result.overlap_source
-    total = weights.sum()
-    if total <= 0:
-        return float(dists.mean())
-    return float((weights * dists).sum() / total)
+    return float((weights * dists).sum() / weights.sum())
 
 
 def register(
@@ -313,7 +302,7 @@ def register(
     best = None
     residuals = []
     # Each start's matching solve, so an unconverged solve in a start that
-    # lost the selection still shows; None marks a start without one.
+    # lost the selection still shows; None marks a start that failed.
     start_solves = []
     failure = None
     for i in range(starts):

@@ -115,8 +115,13 @@ class TestRegisterCommand:
 
 
 class TestConfigHandling:
-    def test_unknown_key_is_config_error(self, tmp_path, cloud_file, capsys):
-        config = write_config(tmp_path, {"trails": 3})
+    @pytest.mark.parametrize(
+        "data",
+        [{"trails": 3}, {"register": {"solver": "l2"}}, {"methods": ["gmm_l2"]}],
+        ids=["trails", "register-solver", "methods-gmm_l2"],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, cloud_file, capsys, data):
+        config = write_config(tmp_path, data)
         code = main([
             "register", str(cloud_file), str(cloud_file),
             "--profile", "desk", "--config", str(config),

@@ -6,20 +6,17 @@ from ogmm.clustering import SoftAssignment, soft_assignment
 from ogmm.geometry import (
     DegenerateGeometryError,
     PointCloud,
-    apply_transform,
     axis_angle_matrix,
     random_transform,
     transform_points,
     RigidTransform,
 )
-from ogmm.io import sample_shape
 from ogmm.mixture import (
     MATCH_EPSILON,
     MATCH_TOL,
     MOMENT_EPS,
     WeightedGmm,
     estimate_gmm,
-    gmm_l2_svd,
     match_components,
     weighted_svd,
 )
@@ -297,55 +294,3 @@ class TestMatchComponents:
         gq = self.make_gmm(rng.normal(size=(3, 3)), rng.normal(size=(3, 4)))
         with pytest.raises(ValueError, match="feature centroids"):
             match_components(gp, gq)
-
-
-class TestGmmL2Svd:
-    def transformed_mixture_pair(self, seed):
-        cloud = sample_shape("composite", 120, seed)
-        feats = np.concatenate(
-            [cloud.points**2, np.linalg.norm(cloud.points, axis=1, keepdims=True)], axis=1
-        )
-        soft = soft_assignment(feats, 5, seed=seed)
-        gt = random_transform(seed + 50)
-        moved = apply_transform(gt, cloud)
-        gp = estimate_gmm(cloud, soft, np.ones(120))
-        gq = estimate_gmm(moved, soft, np.ones(120))
-        return gp, gq, gt
-
-    def test_recovers_motion_between_transformed_mixtures(self):
-        # The eps regularizer shifts each mean by ~1e-6, which bounds how
-        # exactly the motion can be recovered.
-        for seed in range(5):
-            gp, gq, gt = self.transformed_mixture_pair(seed)
-            est = gmm_l2_svd(gp, gq)
-            np.testing.assert_allclose(est.rotation, gt.rotation, atol=1e-4)
-            np.testing.assert_allclose(est.translation, gt.translation, atol=1e-4)
-
-    def test_wide_component_is_downweighted(self):
-        # Corrupt one component's mean. With an honest (tight) covariance the
-        # corruption wrecks the solve; inflating that component's covariance
-        # must suppress its influence by orders of magnitude.
-        gp, gq, gt = self.transformed_mixture_pair(7)
-        means = gq.means.copy()
-        means[2] += np.array([5.0, -3.0, 4.0])
-
-        def solve_error(covs):
-            gq_bad = WeightedGmm(gq.weights, means, covs, gq.mass, gq.feature_centroids)
-            est = gmm_l2_svd(gp, gq_bad)
-            return np.abs(est.rotation - gt.rotation).max()
-
-        err_trusted = solve_error(gq.covariances.copy())
-        covs_wide = gq.covariances.copy()
-        covs_wide[2] = np.eye(3) * 1e4
-        err_downweighted = solve_error(covs_wide)
-        assert err_downweighted < 0.05
-        assert err_trusted > 10 * err_downweighted
-
-    def test_component_count_mismatch_rejected(self):
-        rng = np.random.default_rng(15)
-        covs3 = np.tile(np.eye(3)[None] * 1e-4, (3, 1, 1))
-        covs4 = np.tile(np.eye(3)[None] * 1e-4, (4, 1, 1))
-        gp = WeightedGmm(np.full(3, 1 / 3), rng.normal(size=(3, 3)), covs3, 1.0)
-        gq = WeightedGmm(np.full(4, 0.25), rng.normal(size=(4, 3)), covs4, 1.0)
-        with pytest.raises(ValueError, match="component count"):
-            gmm_l2_svd(gp, gq)

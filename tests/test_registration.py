@@ -13,6 +13,7 @@ import ogmm
 from ogmm.bench import BenchConfig
 from ogmm.clustering import SINKHORN_TOL
 from ogmm.geometry import (
+    DegenerateGeometryError,
     EulerAnglesDeg,
     RigidTransform,
     apply_transform,
@@ -64,8 +65,9 @@ class TestRegisterConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RegisterConfig(overlap_mode="oracle")
-        with pytest.raises(ValueError):
-            RegisterConfig(solver="icp")
+        # Every start runs the transport solve; there is no solver to pick.
+        with pytest.raises(TypeError):
+            RegisterConfig(solver="transport")
 
 
 class TestRegister:
@@ -141,14 +143,6 @@ class TestRegister:
         assert np.all(result.overlap_source == 1.0)
         assert result.diagnostics["overlap_mass_source"] == len(pair.source)
 
-    def test_l2_solver_identity_on_identical_clouds(self):
-        cloud = sample_shape("composite", 128, seed=6)
-        cfg = RegisterConfig.desk(solver="l2", overlap_mode="ones")
-        result = register(cloud, cloud, cfg)
-        assert result.plan is None
-        assert result.diagnostics["solver"] == "l2"
-        assert euler_mae_deg(result.transform, RigidTransform.identity()) <= 1e-6
-
     def test_every_start_reports_its_matching_solve(self, monkeypatch):
         import ogmm.mixture
 
@@ -175,15 +169,35 @@ class TestRegister:
         assert "start_sinkhorn_iterations" not in single
         assert "start_sinkhorn_converged" not in single
 
-    def test_starts_without_a_matching_solve_report_none(self):
-        cloud = sample_shape("composite", 96, seed=4)
-        config = RegisterConfig.desk(solver="l2", starts=2)
-        ones = np.ones(len(cloud))
-        diagnostics = register(
-            cloud, cloud, config, overlap_source=ones, overlap_target=ones
-        ).diagnostics
-        assert diagnostics["start_sinkhorn_iterations"] == [None, None]
-        assert diagnostics["start_sinkhorn_converged"] == [None, None]
+    def test_a_failed_start_reports_none_and_is_not_chosen(self, monkeypatch):
+        real = registration.weighted_svd
+        calls = []
+
+        def weighted_svd(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DegenerateGeometryError("start 0 fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "weighted_svd", weighted_svd)
+        pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=9))
+        diagnostics = register(pair.source, pair.target, DESK, **_labels(pair)).diagnostics
+        assert len(calls) == diagnostics["starts"] == DESK.starts
+        assert diagnostics["start_residuals"][0] == float("inf")
+        assert diagnostics["start_sinkhorn_iterations"][0] is None
+        assert diagnostics["start_sinkhorn_converged"][0] is None
+        assert None not in diagnostics["start_sinkhorn_iterations"][1:]
+        assert diagnostics["chosen_start"] != 0
+
+    @pytest.mark.parametrize("empty", ["source", "target"])
+    def test_caller_overlap_without_mass_is_degenerate(self, empty):
+        # No start can match components without overlap mass, so every
+        # start fails and the restart selector never scores one.
+        pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=9))
+        overrides = _labels(pair)
+        overrides[f"overlap_{empty}"] = np.zeros_like(overrides[f"overlap_{empty}"])
+        with pytest.raises(DegenerateGeometryError, match="no overlap mass"):
+            register(pair.source, pair.target, DESK, **overrides)
 
     @pytest.mark.parametrize("mode", ["predicted", "ones", "override"])
     def test_cross_attention_runs_only_where_the_overlap_head_reads_it(self, monkeypatch, mode):
@@ -207,7 +221,7 @@ class TestRegister:
         assert diagnostics["overlap_origin"] == mode
         assert (diagnostics["stage_ms"]["cross_attention"] > 0.0) == (mode == "predicted")
 
-    @pytest.mark.parametrize("config", [DESK, RegisterConfig.desk(starts=1, solver="l2")])
+    @pytest.mark.parametrize("config", [DESK, RegisterConfig.desk(starts=1)])
     def test_stage_times_cover_the_run(self, config):
         pair = make_pair(PairSpec(n_points=256, overlap_keep_fraction=0.7, seed=5))
         # With the caller's overlap and without it: only the former restarts.
@@ -216,7 +230,7 @@ class TestRegister:
             stage_ms = diagnostics["stage_ms"]
             assert tuple(stage_ms) == registration.STAGES
             assert all(ms >= 0.0 for ms in stage_ms.values())
-            assert (stage_ms["matching"] > 0.0) == (config.solver == "transport")
+            assert stage_ms["matching"] > 0.0
             assert diagnostics["starts"] == (config.starts if overrides else 1)
             assert (stage_ms["restart_selection"] > 0.0) == (diagnostics["starts"] > 1)
             total = sum(stage_ms.values())
