@@ -4,10 +4,11 @@
 entropic dual in the column log-potentials (Brauer et al. 2017), the rows
 being met exactly by a log-domain row update. A cold solve reaches the
 configured epsilon by epsilon scaling from the cost range; a solve given
-starting column potentials (`init`) starts at the configured epsilon, as
-each Lloyd step of the balanced k-means does from the last step's
-potentials. Zero-mass marginal entries are legal; their plan rows/columns
-are exactly zero.
+starting column potentials (`init`) starts at the configured epsilon from
+them, with no opening Sinkhorn sweep, as each Lloyd step of the balanced
+k-means does (the first two from column quantiles of their cost, later
+ones from the last step's potentials). Zero-mass marginal entries are
+legal; their plan rows/columns are exactly zero.
 """
 
 from __future__ import annotations
@@ -188,11 +189,14 @@ def _newton_loop(zt: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, 
     exact row update gives the rows, so only the columns can be violated.
     Cold, epsilon starts at the cost range and falls by EPSILON_STEP per
     stage, b carrying over in cost units; warm, the one stage runs at the
-    configured epsilon from init. Each stage opens with a Sinkhorn sweep,
-    which puts every column potential at its maximizer given the rows, then
-    takes Newton steps until the L1 column violation is at most STAGE_TOL
-    (tol in the last stage). `iterations` counts sweeps and steps; max_iter
-    bounds them.
+    configured epsilon from init. Only a cold stage opens with a Sinkhorn
+    sweep, which puts every column potential at its maximizer given the
+    rows; a warm stage starts on the row plan of init (from the starts the
+    balanced k-means gives, a sweep cost an iteration per solve and saved
+    few Newton steps). Each stage then takes Newton steps until the L1
+    column violation is at most STAGE_TOL (tol in the last stage).
+    `iterations` counts sweeps and steps, and is 0 for a warm start that
+    already meets tol; max_iter bounds them.
 
     Returns (plan, converged, iterations, marginal_error, potentials) for
     unit mass: the plan at the configured epsilon of the last potentials
@@ -220,8 +224,9 @@ def _newton_loop(zt: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, 
     while True:
         zs = zt / scale if scale != 1.0 else zt
         stage_tol = tol if scale == 1.0 else max(STAGE_TOL, tol)
-        b = _sweep(b, zs, mu_s, nu_s)
-        iterations += 1
+        if init is None:
+            b = _sweep(b, zs, mu_s, nu_s)
+            iterations += 1
         plan = None
         while iterations < max_iter:
             pi, plan = _row_plan(b, zs, mu_s)
@@ -284,17 +289,17 @@ def sinkhorn(
       of them unconverged at 5000 iterations. On one core of a 2-vCPU Xeon
       the median of 72 desk matching solves took 1.7 ms.
     - Warm, init holds starting column potentials in cost units (the
-      `potentials` of an earlier plan, or zeros), and the loop starts at
-      the configured epsilon from them. Cost units carry over between
-      problems whose epsilon differs, and a constant shift of the cost is
-      absorbed by the row update. Each Lloyd step of the balanced k-means
-      starts from the last step's potentials this way (the first from
-      zeros): over 6034 such solves (up to 512x16, tol 1e-4) from traced
-      desk and criterion-1 benchmark runs, every one converged, in 3
-      iterations (median) and 26 at most. On the same core the median
-      solve took 0.47 ms on desk pairs (256 points) and 0.52 ms on
-      criterion-1 pairs (512x16), 0.10 and 0.11 ms of it outside
-      `_newton_loop`.
+      `potentials` of an earlier plan, or an estimate), and the loop starts
+      at the configured epsilon from them, with Newton steps and no
+      opening sweep. Cost units carry over between problems whose epsilon
+      differs, and a constant shift of the cost is absorbed by the row
+      update. The balanced k-means solves this way, its first two Lloyd
+      steps from column quantiles of their cost and later ones from the
+      last step's potentials: over 13690 such solves (up to 512x16, tol
+      1e-4) from traced desk and criterion-1 benchmark runs, every one
+      converged, in 2 iterations (median) and 12 at most. On the same core
+      the median traced solve took 0.22 ms on desk pairs (256 points) and
+      0.34 ms on criterion-1 pairs (512x16).
 
     The checks cost two reductions per marginal and one min/max pair for
     the plan; the cost is divided straight into the transposed buffer the

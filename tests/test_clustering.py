@@ -133,10 +133,19 @@ def reference_round_phased(plan: np.ndarray, n: int, j: int) -> np.ndarray:
     return labels
 
 
+def reference_quantile_potentials(cost: np.ndarray) -> np.ndarray:
+    """Each column's floor(N/J)-th smallest cost, centred: the column
+    potentials, in cost units, that the first two Lloyd steps start from."""
+    n, j = cost.shape
+    q = np.sort(cost, axis=0)[n // j - 1]
+    return q - q.mean()
+
+
 def reference_kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
     """`_kmeans_balanced` before its Lloyd steps reused their buffers, kept
     verbatim with the two functions above as the oracle for every field of
-    a k-means run."""
+    a k-means run; its first two steps start from the column-quantile
+    potentials of their own cost, later steps from the last step's."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     j = n_clusters
@@ -151,11 +160,11 @@ def reference_kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
     n_iter = 0
     calls = iterations = unconverged = 0
     error_max = 0.0
-    # Column potentials in cost units, each solve starting from the last.
-    potentials = np.zeros(j)
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
         cost = cdist(x, centroids, "sqeuclidean")
         epsilon = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
+        if n_iter <= 2:
+            potentials = reference_quantile_potentials(cost)
         plan = sinkhorn(
             cost, row_mass, col_mass,
             epsilon=epsilon, max_iter=SINKHORN_MAX_ITER, tol=SINKHORN_TOL,
@@ -690,19 +699,22 @@ class TestKmeansSinkhornCounters:
         assert expected[0] >= 4
 
 
-def test_each_lloyd_step_starts_from_the_last_steps_potentials(monkeypatch):
+def test_lloyd_steps_start_from_quantile_then_last_potentials(monkeypatch):
+    """Steps 1 and 2 start from the column-quantile potentials of their own
+    cost, every later step from the previous plan's potentials."""
     calls = []
     real = ogmm.clustering.sinkhorn
 
-    def watching(*args, init=None, **kwargs):
-        plan = real(*args, init=init, **kwargs)
-        calls.append((np.array(init), plan.potentials))
+    def watching(cost, *args, init=None, **kwargs):
+        plan = real(cost, *args, init=init, **kwargs)
+        calls.append((np.array(cost), np.array(init), plan.potentials))
         return plan
 
     monkeypatch.setattr(ogmm.clustering, "sinkhorn", watching)
     result = wasserstein_kmeans(sample_shape("composite", 300, seed=4), 12, seed=0)
     assert len(calls) == result.sinkhorn_calls >= 3
-    np.testing.assert_array_equal(calls[0][0], np.zeros(12))
-    for (_, previous), (init, _) in zip(calls, calls[1:]):
+    for cost, init, _ in calls[:2]:
+        np.testing.assert_array_equal(init, reference_quantile_potentials(cost))
+    for (_, _, previous), (_, init, _) in zip(calls[1:], calls[2:]):
         np.testing.assert_array_equal(init, previous)
     assert result.sinkhorn_unconverged == 0

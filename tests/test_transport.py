@@ -6,6 +6,10 @@ import ogmm.clustering
 import ogmm.mixture
 from ogmm import transport
 from ogmm.clustering import SINKHORN_EPSILON_SCALE, SINKHORN_MAX_ITER, SINKHORN_TOL
+from ogmm.features import FeatureConfig, encode
+from ogmm.geometry import farthest_point_sample
+from ogmm.io import sample_shape
+from ogmm.registration import FEATURE_DIM, FEATURE_SEED, RegisterConfig
 from ogmm.transport import TransportPlan, sinkhorn
 
 
@@ -329,8 +333,8 @@ KMEANS_RANGE = 350.0
 
 
 def _assert_same_solve(z, mu, nu, max_iter, tol):
-    """Cold and warm (from zero potentials, as a first Lloyd step starts)
-    solves converge within max_iter and reach the reference loop's optimum."""
+    """Cold and warm (from zero potentials, with no opening sweep) solves
+    converge within max_iter and reach the reference loop's optimum."""
     logged = reference_log_loop(z, mu, nu, 20000, tol)
     assert logged[1]
     for init in (None, np.zeros(z.shape[1])):
@@ -398,9 +402,14 @@ def _kmeans_problem(rng, n, j):
     return points, centroids
 
 
+def _kmeans_cost(points, centroids):
+    """Squared distances from every point to every centroid."""
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def _kmeans_solve(points, centroids, tol, init=None):
     """The k-means assignment step's solve, at its epsilon and budget."""
-    cost = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    cost = _kmeans_cost(points, centroids)
     n, j = cost.shape
     epsilon = SINKHORN_EPSILON_SCALE * float(cost.mean())
     return sinkhorn(
@@ -411,7 +420,8 @@ def _kmeans_solve(points, centroids, tol, init=None):
 
 class TestWarmStart:
     """`init` starts the loop at the configured epsilon from given column
-    potentials in cost units, as each Lloyd step starts from the last."""
+    potentials in cost units, as each Lloyd step from the third on starts
+    from the last."""
 
     @pytest.mark.parametrize("n, j", [(256, 8), (512, 16)])
     def test_perturbed_kmeans_problem(self, n, j):
@@ -446,8 +456,9 @@ class TestWarmStart:
         points, centroids = _kmeans_problem(np.random.default_rng(46), 200, 8)
         first = _kmeans_solve(points, centroids, 1e-9, init=np.zeros(8))
         again = _kmeans_solve(points, centroids, 1e-9, init=first.potentials)
+        # A warm solve opens with the convergence check, not a sweep.
         assert again.converged
-        assert again.iterations == 1
+        assert again.iterations == 0
         _assert_same_optimum(again.matrix, first.matrix, 1e-9)
 
     @pytest.mark.parametrize("init", [np.zeros(3), np.zeros((4, 1)), [0.0, np.nan, 0.0, 0.0],
@@ -460,6 +471,80 @@ class TestWarmStart:
     def test_plan_rejects_potentials_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="potentials"):
             TransportPlan(np.full((2, 3), 1 / 6), True, 1, 0.0, np.zeros(2))
+
+
+def _farthest_point_problem(dim, n, j):
+    """The first Lloyd step's points and farthest-point centroids: a
+    composite shape in 3-D, or its 32-D descriptors as `register` encodes
+    them."""
+    cloud = sample_shape("composite", n, seed=5)
+    if dim == 3:
+        points = cloud.points
+    else:
+        config = FeatureConfig(FEATURE_DIM, RegisterConfig().k_neighbors, FEATURE_SEED)
+        points = encode(cloud, config).features
+        assert points.shape == (n, dim)
+    return points, points[farthest_point_sample(points, j, 0)]
+
+
+def _quantile_start(points, centroids):
+    """Each column's floor(N/J)-th smallest cost, centred, as the first two
+    Lloyd steps start."""
+    cost = _kmeans_cost(points, centroids)
+    n, j = cost.shape
+    q = np.sort(cost, axis=0)[n // j - 1]
+    return q - q.mean()
+
+
+class TestWarmStartWithoutOpeningSweep:
+    """A warm solve opens with the convergence check and Newton steps, not
+    a Sinkhorn sweep. From the starts the Lloyd loop gives it, and from a
+    stale one, it converges within the k-means budget on the optimum of
+    plain log-domain Sinkhorn."""
+
+    CASES = [(3, 512, 16), (32, 512, 8)]
+
+    @staticmethod
+    def _assert_reaches_the_reference(points, centroids, init):
+        plan = _kmeans_solve(points, centroids, SINKHORN_TOL, init=init)
+        assert plan.converged
+        assert plan.iterations <= SINKHORN_MAX_ITER
+        cost = _kmeans_cost(points, centroids)
+        n, j = cost.shape
+        z = cost / (SINKHORN_EPSILON_SCALE * float(cost.mean()))
+        logged = reference_log_loop(z, np.full(n, 1 / n), np.full(j, 1 / j), 20000, 1e-9)
+        assert logged[1]
+        _assert_same_optimum(plan.matrix, logged[0], SINKHORN_TOL)
+        return plan
+
+    @pytest.mark.parametrize("dim, n, j", CASES)
+    def test_quantile_start(self, dim, n, j):
+        points, centroids = _farthest_point_problem(dim, n, j)
+        self._assert_reaches_the_reference(points, centroids, _quantile_start(points, centroids))
+
+    @pytest.mark.parametrize("dim, n, j", CASES)
+    def test_stale_start_after_the_centroid_jump(self, dim, n, j):
+        # Step 1's potentials, carried into step 2 after the centroids move
+        # from the farthest-point sample to the first cluster means.
+        points, centroids = _farthest_point_problem(dim, n, j)
+        first = self._assert_reaches_the_reference(
+            points, centroids, _quantile_start(points, centroids))
+        labels = ogmm.clustering._round_balanced(first.matrix, n, j)
+        means = np.stack([points[labels == l].mean(axis=0) for l in range(j)])
+        stale = self._assert_reaches_the_reference(points, means, first.potentials)
+        fresh = self._assert_reaches_the_reference(points, means, _quantile_start(points, means))
+        assert stale.iterations > fresh.iterations
+
+    @pytest.mark.parametrize("converged", [False, True])
+    def test_init_is_left_unmodified(self, converged):
+        points, centroids = _farthest_point_problem(3, 512, 16)
+        init = _quantile_start(points, centroids)
+        if converged:
+            init = _kmeans_solve(points, centroids, 1e-9, init=init).potentials.copy()
+        kept = init.copy()
+        plan = _kmeans_solve(points, centroids, 1e-9, init=init)
+        assert (plan.iterations == 0) == converged
+        np.testing.assert_array_equal(init, kept)
 
 
 def _matching_problem(rng, size, empty_rows=(), empty_cols=()):
