@@ -20,11 +20,11 @@ import numpy as np
 INSTANCE_NORM_EPS = 1e-5
 
 
-def instance_norm(x: np.ndarray, eps: float = INSTANCE_NORM_EPS) -> np.ndarray:
+def instance_norm(x: np.ndarray) -> np.ndarray:
     """Standardize each column over the rows (points) of one instance."""
     mean = x.mean(axis=0, keepdims=True)
     var = x.var(axis=0, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
+    return (x - mean) / np.sqrt(var + INSTANCE_NORM_EPS)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, apply_transform
+from .geometry import DegenerateGeometryError, apply_transform, as_integer
 from .io import SHAPE_KINDS, PairSpec, make_pair, write_cloud
 from .metrics import (
     ccd,
@@ -70,13 +70,9 @@ class BenchConfig:
     overlap_fractions: tuple = (0.7, 0.6, 0.5, 0.4, 0.3)
     cluster_counts: tuple = (8, 16, 32, 48, 64)
     noise_sigma: float = 0.0
-    jitter_clip: float = 0.05
     density_keep: float = 1.0
     trials: int = 20
     n_points: int = 1024
-    rot_max_deg: float = 45.0
-    trans_max: float = 0.5
-    eta: float = 0.1
     shape_kind: str = "composite"
     methods: tuple = METHODS
     base_seed: int = 0
@@ -84,7 +80,10 @@ class BenchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "overlap_fractions", tuple(float(v) for v in self.overlap_fractions))
-        object.__setattr__(self, "cluster_counts", tuple(int(v) for v in self.cluster_counts))
+        counts = (as_integer(c, "a cluster count", BenchConfigError) for c in self.cluster_counts)
+        object.__setattr__(self, "cluster_counts", tuple(counts))
+        for name in ("trials", "n_points", "base_seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, BenchConfigError))
         object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
         if not self.overlap_fractions or not self.cluster_counts:
             raise BenchConfigError("sweep ranges must be non-empty")
@@ -134,12 +133,8 @@ class BenchConfig:
         return PairSpec(
             n_points=self.n_points,
             overlap_keep_fraction=cell.overlap_fraction,
-            rot_max_deg=self.rot_max_deg,
-            trans_max=self.trans_max,
             jitter_sigma=self.noise_sigma,
-            jitter_clip=self.jitter_clip,
             density_keep=self.density_keep,
-            eta=self.eta,
             seed=int(seq.generate_state(1)[0]),
         )
 

@@ -36,6 +36,8 @@ SINKHORN_TOL = 1e-4
 # objective by less than KMEANS_TOL.
 KMEANS_MAX_ITER = 50
 KMEANS_TOL = 1e-6
+# The soft assignment's softmax temperature on squared feature distances.
+TEMPERATURE = 0.1
 
 
 @dataclass(frozen=True)
@@ -333,7 +335,6 @@ class SoftAssignment:
 
     scores: np.ndarray
     centroids: np.ndarray
-    temperature: float
     kmeans: Optional[ClusterAssignment] = None
 
     def __post_init__(self):
@@ -355,23 +356,15 @@ class SoftAssignment:
         object.__setattr__(self, "centroids", c)
 
 
-def soft_assignment(
-    features: np.ndarray,
-    n_components: int,
-    seed: int,
-    temperature: float = 0.1,
-) -> SoftAssignment:
+def soft_assignment(features: np.ndarray, n_components: int, seed: int) -> SoftAssignment:
     """Soft membership of feature rows over balanced k-means centroids.
 
-    Scores are the row softmax of -||f_i - c_l||^2 / temperature. Lower
-    temperatures sharpen rows toward the nearest centroid; identical
+    Scores are the row softmax of -||f_i - c_l||^2 / TEMPERATURE; identical
     features yield uniform rows.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError(f"features must be a matrix, got shape {f.shape}")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     assignment = _kmeans_balanced(f, n_components, seed)
-    scores = _softmax_rows(-cdist(f, assignment.centroids, "sqeuclidean") / temperature)
-    return SoftAssignment(scores, assignment.centroids, temperature, kmeans=assignment)
+    scores = _softmax_rows(-cdist(f, assignment.centroids, "sqeuclidean") / TEMPERATURE)
+    return SoftAssignment(scores, assignment.centroids, kmeans=assignment)

@@ -10,6 +10,7 @@ indices and distances bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +33,14 @@ _DEG = 180.0 / np.pi
 
 class DegenerateGeometryError(ValueError):
     """Raised when the input geometry cannot support the requested solve."""
+
+
+def as_integer(value, name: str, error: type = ValueError) -> int:
+    """value as an int if it is a Python or numpy integer; a bool, a float
+    (even 2.0) or anything else raises `error` rather than being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_float_array(values, name: str, shape: tuple) -> np.ndarray:

@@ -16,6 +16,7 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
+    as_integer,
     invert,
     nearest_neighbors,
     random_transform,
@@ -23,6 +24,12 @@ from .geometry import (
 )
 
 SHAPE_KINDS = ("sphere", "torus", "box", "composite")
+# The pair protocol's per-axis motion range, jitter clamp and overlap label
+# radius, as in RPM-Net's partial-registration protocol.
+ROT_MAX_DEG = 45.0
+TRANS_MAX = 0.5
+JITTER_CLIP = 0.05
+OVERLAP_ETA = 0.1
 
 # PLY scalar types whose columns we can parse as floats.
 _PLY_NUMERIC = {
@@ -322,14 +329,14 @@ def halfspace_crop(cloud: PointCloud, keep_fraction: float, seed: int) -> PointC
     return cloud.select(keep)
 
 
-def jitter_points(cloud: PointCloud, sigma: float, clip: float, seed: int) -> PointCloud:
-    """Add truncated Gaussian noise: draw N(0, sigma) then clamp to +/- clip."""
-    if sigma < 0 or clip < 0:
-        raise ValueError("sigma and clip must be non-negative")
+def jitter_points(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
+    """Add truncated Gaussian noise: draw N(0, sigma), clamp to +/- JITTER_CLIP."""
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return cloud
     rng = np.random.default_rng(seed)
-    noise = np.clip(rng.normal(0.0, sigma, size=cloud.points.shape), -clip, clip)
+    noise = np.clip(rng.normal(0.0, sigma, size=cloud.points.shape), -JITTER_CLIP, JITTER_CLIP)
     return PointCloud(cloud.points + noise, cloud.features)
 
 
@@ -347,7 +354,7 @@ def density_subsample(cloud: PointCloud, density_keep: float, seed: int) -> Poin
 
 
 def gt_overlap_labels(
-    source: PointCloud, target: PointCloud, gt_transform: RigidTransform, eta: float = 0.1
+    source: PointCloud, target: PointCloud, gt_transform: RigidTransform, eta: float = OVERLAP_ETA
 ) -> np.ndarray:
     """Per-source-point overlap label: 1 iff the transformed point lands
     strictly within eta of some target point."""
@@ -360,38 +367,29 @@ def gt_overlap_labels(
 
 @dataclass(frozen=True)
 class PairSpec:
-    """Knobs for one synthetic registration pair.
+    """The settings that vary between synthetic registration pairs.
 
     Defaults reproduce the standard protocol: 1024 points, ~70% kept per
-    cloud, rotations up to 45 degrees per axis, translations up to 0.5,
-    no jitter, no density mismatch.
+    cloud, no jitter, no density mismatch. The motion range, jitter clamp
+    and overlap label radius are the module's protocol constants.
     """
 
     n_points: int = 1024
     overlap_keep_fraction: float = 0.7
-    rot_max_deg: float = 45.0
-    trans_max: float = 0.5
     jitter_sigma: float = 0.0
-    jitter_clip: float = 0.05
     density_keep: float = 1.0
-    eta: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_points", as_integer(self.n_points, "n_points"))
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
         if not (0.0 < self.overlap_keep_fraction <= 1.0):
             raise ValueError("overlap_keep_fraction must lie in (0, 1]")
         if not (0.0 < self.density_keep <= 1.0):
             raise ValueError("density_keep must lie in (0, 1]")
-        if self.jitter_sigma < 0 or self.jitter_clip < 0:
-            raise ValueError("jitter parameters must be non-negative")
-        if not (0.0 <= self.rot_max_deg < 180.0):
-            raise ValueError("rot_max_deg must lie in [0, 180)")
-        if self.trans_max < 0:
-            raise ValueError("trans_max must be non-negative")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -438,13 +436,13 @@ def make_pair(spec: PairSpec, shape_kind: str = "composite") -> RegistrationPair
     target = sample_shape(shape_kind, spec.n_points, int(sub[1]))
     source = halfspace_crop(source, spec.overlap_keep_fraction, int(sub[2]))
     target = halfspace_crop(target, spec.overlap_keep_fraction, int(sub[3]))
-    gt = random_transform(int(sub[4]), spec.rot_max_deg, spec.trans_max)
+    gt = random_transform(int(sub[4]), ROT_MAX_DEG, TRANS_MAX)
     target = apply_transform(gt, target)
     if spec.jitter_sigma > 0:
-        source = jitter_points(source, spec.jitter_sigma, spec.jitter_clip, int(sub[5]))
-        target = jitter_points(target, spec.jitter_sigma, spec.jitter_clip, int(sub[6]))
+        source = jitter_points(source, spec.jitter_sigma, int(sub[5]))
+        target = jitter_points(target, spec.jitter_sigma, int(sub[6]))
     if spec.density_keep < 1.0:
         target = density_subsample(target, spec.density_keep, int(sub[7]))
-    labels_source = gt_overlap_labels(source, target, gt, spec.eta)
-    labels_target = gt_overlap_labels(target, source, invert(gt), spec.eta)
+    labels_source = gt_overlap_labels(source, target, gt, OVERLAP_ETA)
+    labels_target = gt_overlap_labels(target, source, invert(gt), OVERLAP_ETA)
     return RegistrationPair(source, target, gt, labels_source, labels_target, spec)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import PointCloud, RigidTransform, nearest_neighbors
 
-CCD_CLIP_DEFAULT = 0.1
+CCD_CLIP = 0.1
 GIMBAL_PROXIMITY_DEG = 89.9
 
 
@@ -33,24 +33,22 @@ def geodesic_rotation_deg(estimated: RigidTransform, gt: RigidTransform) -> floa
     return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
 
 
-def near_gimbal_lock(transform: RigidTransform, threshold_deg: float = GIMBAL_PROXIMITY_DEG) -> bool:
-    """Euler extraction is ill-conditioned near |ry| = 90; flag records there."""
-    return abs(transform.euler_angles().ry) > threshold_deg
+def near_gimbal_lock(transform: RigidTransform) -> bool:
+    """Flag |ry| above GIMBAL_PROXIMITY_DEG: Euler extraction is ill-conditioned there."""
+    return abs(transform.euler_angles().ry) > GIMBAL_PROXIMITY_DEG
 
 
-def _directed(points: np.ndarray, other: PointCloud, clip: float) -> float:
+def _directed(points: np.ndarray, other: PointCloud) -> float:
     _, dists = nearest_neighbors(points, other)
-    return float(np.minimum(dists, clip).mean())
+    return float(np.minimum(dists, CCD_CLIP).mean())
 
 
-def ccd(source_transformed: PointCloud, target: PointCloud, clip: float = CCD_CLIP_DEFAULT) -> float:
+def ccd(source_transformed: PointCloud, target: PointCloud) -> float:
     """Clipped chamfer distance, averaged over both directions.
 
-    Nearest-neighbor distances are clamped at `clip` so far-away points
+    Nearest-neighbor distances are clamped at CCD_CLIP so far-away points
     saturate instead of dominating.
     """
-    if clip <= 0:
-        raise ValueError("clip must be positive")
-    forward = _directed(source_transformed.points, target, clip)
-    backward = _directed(target.points, source_transformed, clip)
+    forward = _directed(source_transformed.points, target)
+    backward = _directed(target.points, source_transformed)
     return 0.5 * (forward + backward)

@@ -29,6 +29,7 @@ from .geometry import (
     DegenerateGeometryError,
     PointCloud,
     RigidTransform,
+    as_integer,
     nearest_neighbors,
     transform_points,
 )
@@ -42,15 +43,14 @@ from .mixture import (
 from .transport import TransportPlan
 
 # Pipeline constants no caller varies: feature width, attention heads,
-# the overlap head's similarity temperature tau, the soft-assignment
-# temperature, and the seeds. The attention weights come from ATTENTION_SEED
-# alone and are shared by every start; start i encodes with FEATURE_SEED + i
-# and clusters with CLUSTER_SEED + i.
+# the overlap head's similarity temperature tau, and the seeds (the
+# soft-assignment temperature is clustering.TEMPERATURE). The attention
+# weights come from ATTENTION_SEED alone and are shared by every start;
+# start i encodes with FEATURE_SEED + i and clusters with CLUSTER_SEED + i.
 FEATURE_DIM = 32
 ATTENTION_HEADS = 4
 ATTENTION_SEED = 1
 OVERLAP_TAU = 0.1
-TEMPERATURE = 0.1
 FEATURE_SEED = 0
 CLUSTER_SEED = 2
 # The ICP baseline's iteration budget and the smallest objective drop that
@@ -87,6 +87,8 @@ class RegisterConfig:
     starts: int = 1
 
     def __post_init__(self):
+        for name in ("k_neighbors", "n_geo_clusters", "n_components", "starts"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.overlap_mode not in OVERLAP_MODES:
             raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}")
         if self.n_geo_clusters < 1 or self.n_components < 1:
@@ -219,8 +221,8 @@ def _register_once(
         o_p, o_q, overlap_origin = overlap
 
     with _timed(stage_ms, "soft_assignment"):
-        soft_p = soft_assignment(f_p, config.n_components, cluster_seed, TEMPERATURE)
-        soft_q = soft_assignment(f_q, config.n_components, cluster_seed, TEMPERATURE)
+        soft_p = soft_assignment(f_p, config.n_components, cluster_seed)
+        soft_q = soft_assignment(f_q, config.n_components, cluster_seed)
 
     with _timed(stage_ms, "moments"):
         gmm_p = estimate_gmm(source.with_features(f_p), soft_p, o_p)

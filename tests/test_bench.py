@@ -91,12 +91,21 @@ class TestBenchConfig:
     def test_pair_protocol_checked_at_load(self):
         # PairSpec validates the pair fields; a bad one fails when the
         # config is built, not at the first pair of the sweep.
-        with pytest.raises(BenchConfigError, match="rot_max_deg"):
-            BenchConfig.desk(rot_max_deg=180.0)
-        with pytest.raises(BenchConfigError, match="trans_max"):
-            config_from_dict({"trans_max": -1.0}, base=BenchConfig.desk())
         with pytest.raises(BenchConfigError, match="n_points"):
             BenchConfig(n_points=0)
+
+    def test_numpy_integers_are_plain_ints(self):
+        # Counts may arrive as numpy integers; they are stored as ints so
+        # the config still serialises and hashes.
+        config = BenchConfig.desk(
+            trials=np.int64(2), cluster_counts=(np.int32(8),),
+            register=RegisterConfig.desk(starts=np.int64(2)),
+        )
+        assert type(config.trials) is int and type(config.cluster_counts[0]) is int
+        assert type(config.register.starts) is int
+        assert config.config_hash() == BenchConfig.desk(
+            trials=2, cluster_counts=(8,), register=RegisterConfig.desk(starts=2)
+        ).config_hash()
 
 
 class TestConfigFromDict:
@@ -116,8 +125,11 @@ class TestConfigFromDict:
             config_from_dict({"trails": 5})
         with pytest.raises(BenchConfigError):
             config_from_dict({"register": {"n_componentz": 12}})
-        # Knobs RegisterConfig dropped, now constants, are rejected, not
-        # silently ignored.
+        # Knobs BenchConfig and RegisterConfig dropped, now constants, are
+        # rejected, not silently ignored.
+        for removed in ("rot_max_deg", "trans_max", "jitter_clip", "eta"):
+            with pytest.raises(BenchConfigError, match=removed):
+                config_from_dict({removed: 1}, base=BenchConfig.desk())
         for removed in (
             "eta", "kmeans_max_iter", "kmeans_tol",
             "sinkhorn_epsilon", "sinkhorn_max_iter", "sinkhorn_tol",

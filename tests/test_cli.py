@@ -117,8 +117,11 @@ class TestRegisterCommand:
 class TestConfigHandling:
     @pytest.mark.parametrize(
         "data",
-        [{"trails": 3}, {"register": {"solver": "l2"}}, {"methods": ["gmm_l2"]}],
-        ids=["trails", "register-solver", "methods-gmm_l2"],
+        [
+            {"trails": 3}, {"register": {"solver": "l2"}}, {"methods": ["gmm_l2"]},
+            {"rot_max_deg": 30},
+        ],
+        ids=["trails", "register-solver", "methods-gmm_l2", "rot_max_deg"],
     )
     def test_unknown_key_is_config_error(self, tmp_path, cloud_file, capsys, data):
         config = write_config(tmp_path, data)
@@ -128,6 +131,33 @@ class TestConfigHandling:
         ])
         assert code == 1
         assert stderr_kind(capsys) == "config"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"trials": 1.5}, {"n_points": 100.5}, {"register": {"starts": 2.5}},
+            {"register": {"n_geo_clusters": 16.5}}, {"register": {"k_neighbors": 5.5}},
+            {"cluster_counts": [8.7]}, {"trials": True}, {"base_seed": True},
+        ],
+        ids=[
+            "trials-float", "n_points-float", "starts-float", "n_geo_clusters-float",
+            "k_neighbors-float", "cluster_counts-float", "trials-bool", "base_seed-bool",
+        ],
+    )
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys, data):
+        # A count or seed that is not an integer is refused when the config loads,
+        # never truncated, and reported as one JSON line, not a traceback.
+        config = write_config(tmp_path, data)
+        code = main([
+            "bench", "--profile", "desk", "--config", str(config),
+            "--out", str(tmp_path / "bench.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["kind"] == "config"
+        assert "integer" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_invalid_json_is_config_error(self, tmp_path, cloud_file, capsys):
         config = tmp_path / "config.json"

@@ -23,11 +23,6 @@ from ogmm.io import sample_shape
 from ogmm.transport import sinkhorn
 
 
-def row_entropy(scores):
-    p = np.clip(scores, 1e-300, None)
-    return -(p * np.log(p)).sum(axis=1)
-
-
 def reference_round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
     """The entry-by-entry greedy `_round_balanced` replaced, kept verbatim
     as the oracle its labels must match."""
@@ -568,9 +563,9 @@ class TestSoftAssignment:
         # Oracle: recompute the softmax from the returned centroids.
         rng = np.random.default_rng(11)
         feats = rng.normal(size=(25, 6))
-        soft = soft_assignment(feats, 4, seed=1, temperature=0.37)
+        soft = soft_assignment(feats, 4, seed=1)
         d2 = ((feats[:, None, :] - soft.centroids[None, :, :]) ** 2).sum(axis=2)
-        raw = np.exp(-d2 / 0.37)
+        raw = np.exp(-d2 / ogmm.clustering.TEMPERATURE)
         expected = raw / raw.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(soft.scores, expected, atol=1e-12)
 
@@ -579,24 +574,6 @@ class TestSoftAssignment:
         soft = soft_assignment(feats, 3, seed=0)
         np.testing.assert_allclose(soft.scores, np.full((12, 3), 1 / 3), atol=1e-12)
 
-    def test_entropy_non_decreasing_in_temperature(self):
-        rng = np.random.default_rng(12)
-        feats = rng.normal(size=(30, 6))
-        entropies = []
-        for temp in (0.02, 0.1, 0.5, 2.0):
-            soft = soft_assignment(feats, 4, seed=2, temperature=temp)
-            entropies.append(row_entropy(soft.scores))
-        for lo, hi in zip(entropies, entropies[1:]):
-            assert np.all(hi >= lo - 1e-12)
-
-    def test_low_temperature_sharpens_to_nearest_centroid(self):
-        rng = np.random.default_rng(13)
-        feats = rng.normal(size=(20, 4))
-        soft = soft_assignment(feats, 3, seed=3, temperature=1e-3)
-        d2 = ((feats[:, None, :] - soft.centroids[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(np.argmax(soft.scores, axis=1), np.argmin(d2, axis=1))
-        assert np.all(soft.scores.max(axis=1) > 0.99)
-
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(14)
         feats = rng.normal(size=(18, 7))
@@ -604,13 +581,9 @@ class TestSoftAssignment:
         b = soft_assignment(feats, 3, seed=5)
         np.testing.assert_array_equal(a.scores, b.scores)
 
-    def test_temperature_validation(self):
-        with pytest.raises(ValueError, match="temperature"):
-            soft_assignment(np.zeros((5, 2)), 2, seed=0, temperature=0.0)
-
     def test_type_validates_row_sums(self):
         with pytest.raises(ValueError, match="sum to one"):
-            SoftAssignment(np.array([[0.5, 0.4]]), np.zeros((2, 2)), 0.1)
+            SoftAssignment(np.array([[0.5, 0.4]]), np.zeros((2, 2)))
 
 
 class TestKmeansSinkhornCounters:

@@ -110,8 +110,3 @@ class TestCcd:
         b = PointCloud(rng.normal(size=(9, 3)) + 3.0)
         assert ccd(a, b) == ccd(b, a)
         assert ccd(a, b) <= 0.1
-
-    def test_rejects_bad_clip(self):
-        cloud = PointCloud([[0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            ccd(cloud, cloud, clip=0.0)

@@ -55,7 +55,7 @@ def random_soft(n, l, seed):
     raw = rng.uniform(0.01, 1.0, size=(n, l))
     scores = raw / raw.sum(axis=1, keepdims=True)
     centroids = rng.normal(size=(l, 3))
-    return SoftAssignment(scores, centroids, 0.1)
+    return SoftAssignment(scores, centroids)
 
 
 class TestEstimateGmm:
@@ -82,7 +82,7 @@ class TestEstimateGmm:
         # outer spread.
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         cloud = PointCloud(pts)
-        soft = SoftAssignment(np.ones((2, 1)), np.zeros((1, 3)), 0.1)
+        soft = SoftAssignment(np.ones((2, 1)), np.zeros((1, 3)))
         gmm = estimate_gmm(cloud, soft, np.ones(2))
         eps = MOMENT_EPS
         w = 2.0 / (eps + 2.0)
@@ -134,7 +134,7 @@ class TestEstimateGmm:
 
     def test_overlap_range_validated(self):
         cloud = PointCloud(np.zeros((3, 3)))
-        soft = SoftAssignment(np.ones((3, 1)), np.zeros((1, 3)), 0.1)
+        soft = SoftAssignment(np.ones((3, 1)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match="0, 1"):
             estimate_gmm(cloud, soft, np.array([0.5, 1.2, 0.0]))
         with pytest.raises(ValueError, match="shape"):

@@ -495,17 +495,44 @@ def test_register_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "[] []"
 
 
+def _load_perfbench(name, monkeypatch):
+    """Execute perfbench/<name>.py from its source, so nothing is written
+    next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    # dataclasses look their module up in sys.modules while the body runs.
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
 def test_every_traced_boundary_exists(monkeypatch):
     """perfbench/spans.py times the pipeline by patching named module
     attributes; a boundary the code no longer has drops that stage's
-    metrics from the benchmark. The module is executed from its source, so
-    nothing is written next to it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spans = types.ModuleType("perfbench_spans")
-    spans.__file__ = str(path)
-    # dataclasses look their module up in sys.modules while the body runs.
-    monkeypatch.setitem(sys.modules, spans.__name__, spans)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    metrics from the benchmark."""
+    spans = _load_perfbench("spans", monkeypatch)
     tracer = spans.Tracer()
     assert tracer.absent == []
     assert len(tracer.present) == len(spans.BOUNDARIES)
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("identical-n512", 6), ("partial-desk-n256", 6), ("large-n4096", 1)],
+)
+def test_benchmark_workloads_still_build(monkeypatch, name, count):
+    """perfbench/workloads.py builds its pairs through the program's own
+    constructors; a changed signature would stop the benchmark before it
+    times anything."""
+    workloads = _load_perfbench("workloads", monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    for index in range(count):
+        pair = workload.make(5, index)
+        assert isinstance(pair, workloads.Pair)
+        assert isinstance(pair.config, RegisterConfig)
+        for arr in (pair.source.points, pair.target.points,
+                    pair.gt_transform.rotation, pair.gt_transform.translation):
+            assert np.all(np.isfinite(arr))
+        assert len(pair.gt_overlap_source) == len(pair.source)
+        assert len(pair.gt_overlap_target) == len(pair.target)
