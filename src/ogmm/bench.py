@@ -79,6 +79,9 @@ class BenchConfig:
     register: RegisterConfig = field(default_factory=RegisterConfig)
 
     def __post_init__(self):
+        for name in ("methods", "overlap_fractions", "cluster_counts"):
+            if isinstance(getattr(self, name), str):
+                raise BenchConfigError(f"{name} must be a list")
         object.__setattr__(self, "overlap_fractions", tuple(float(v) for v in self.overlap_fractions))
         counts = (as_integer(c, "a cluster count", BenchConfigError) for c in self.cluster_counts)
         object.__setattr__(self, "cluster_counts", tuple(counts))

@@ -111,8 +111,9 @@ def _knn_indices(points: np.ndarray, k: int):
     return order, dist
 
 
-def local_descriptor(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Per-point features from rigid-invariant neighborhood statistics.
+def encode(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """The cloud's (N, d) feature matrix, row i describing point i, from
+    rigid-invariant neighborhood statistics.
 
     For each point the statistics vector stacks the k sorted neighbor
     distances, the neighborhood covariance eigenvalues, the distance to the
@@ -162,7 +163,3 @@ def local_descriptor(cloud: PointCloud, config: FeatureConfig = FeatureConfig())
     mlp = SeededMlp([k + 5, config.d, config.d], seed=seed)
     return mlp(stats)
 
-
-def encode(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> PointCloud:
-    """Attach the local descriptor to the cloud as its feature matrix."""
-    return cloud.with_features(local_descriptor(cloud, config))

@@ -11,8 +11,7 @@ indices and distances bit for bit.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -166,10 +165,10 @@ def axis_angle_matrix(axis, angle_deg: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An ordered set of 3D points with optional per-point feature rows."""
+    """An ordered set of 3D points. Per-point features travel beside the
+    cloud as a plain (N, d) array, row i describing point i."""
 
     points: np.ndarray
-    features: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -182,50 +181,45 @@ class PointCloud:
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != pts.shape[0]:
-                raise ValueError(
-                    f"features must have shape (N, d) with N={pts.shape[0]}, got {feats.shape}"
-                )
-            if not np.all(np.isfinite(feats)):
-                raise ValueError("features contain non-finite values")
-            feats = feats.copy()
-            feats.flags.writeable = False
-            object.__setattr__(self, "features", feats)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def with_features(self, features: np.ndarray) -> "PointCloud":
-        return PointCloud(self.points, features)
-
     def select(self, indices) -> "PointCloud":
-        """Sub-cloud at the given row indices (features follow along)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        feats = None if self.features is None else self.features[idx]
-        return PointCloud(self.points[idx], feats)
+        """Sub-cloud at the given row indices."""
+        return PointCloud(self.points[np.asarray(indices, dtype=np.intp)])
 
 
 def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
-    """Transform every point, leaving features untouched."""
-    moved = cloud.points @ transform.rotation.T + transform.translation
-    return PointCloud(moved, cloud.features)
+    """Transform every point."""
+    return PointCloud(transform_points(transform, cloud.points))
 
 
 def transform_points(transform: RigidTransform, points: np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=np.float64) @ transform.rotation.T + transform.translation
 
 
+def kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Proper rotation R maximizing trace(R h) for a 3x3 cross-moment h,
+    plus the singular values of h (for the caller's degeneracy checks).
+
+    The sign flip on the last singular direction rules out reflections.
+    The one Kabsch core: the mixture solve, ICP's row-matched solve and
+    compose's re-orthonormalization all go through it.
+    """
+    u, s, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T, s
+
+
 def compose(second: RigidTransform, first: RigidTransform) -> RigidTransform:
     """The transform equivalent to applying `first`, then `second`."""
     rotation = second.rotation @ first.rotation
     translation = second.rotation @ first.translation + second.translation
-    # Re-orthonormalize via SVD so long chains cannot drift past the
-    # constructor's orthonormality gate.
-    u, _, vt = np.linalg.svd(rotation)
-    d = np.sign(np.linalg.det(u @ vt))
-    rotation = u @ np.diag([1.0, 1.0, d]) @ vt
+    # Project M back onto the rotations, so long chains cannot drift past
+    # the constructor's orthonormality gate: the nearest rotation maximizes
+    # trace(R^T M) = trace(R M^T), a Kabsch solve with h = M^T.
+    rotation, _ = kabsch_rotation(rotation.T)
     return RigidTransform(rotation, translation)
 
 

@@ -183,8 +183,7 @@ def _read_ply(path: str) -> PointCloud:
 
 
 def write_cloud(cloud: PointCloud, path) -> None:
-    """Write coordinates to .xyz or ASCII .ply by the path's extension
-    (features are not stored)."""
+    """Write coordinates to .xyz or ASCII .ply by the path's extension."""
     path = str(path)
     fmt = _cloud_format(path, ValueError)
     # repr of a python float is the shortest exact round-trip form, which
@@ -311,7 +310,7 @@ def sample_shape(kind: str, n: int, seed: int) -> PointCloud:
 def halfspace_crop(cloud: PointCloud, keep_fraction: float, seed: int) -> PointCloud:
     """Keep the ceil(keep_fraction * N) points deepest along a seeded direction.
 
-    Original point order is preserved; feature rows follow their points.
+    Original point order is preserved.
     """
     if not (0.0 < keep_fraction <= 1.0):
         raise ValueError("keep_fraction must lie in (0, 1]")
@@ -331,13 +330,13 @@ def halfspace_crop(cloud: PointCloud, keep_fraction: float, seed: int) -> PointC
 
 def jitter_points(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
     """Add truncated Gaussian noise: draw N(0, sigma), clamp to +/- JITTER_CLIP."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and non-negative")
     if sigma == 0.0:
         return cloud
     rng = np.random.default_rng(seed)
     noise = np.clip(rng.normal(0.0, sigma, size=cloud.points.shape), -JITTER_CLIP, JITTER_CLIP)
-    return PointCloud(cloud.points + noise, cloud.features)
+    return PointCloud(cloud.points + noise)
 
 
 def density_subsample(cloud: PointCloud, density_keep: float, seed: int) -> PointCloud:
@@ -388,8 +387,8 @@ class PairSpec:
             raise ValueError("overlap_keep_fraction must lie in (0, 1]")
         if not (0.0 < self.density_keep <= 1.0):
             raise ValueError("density_keep must lie in (0, 1]")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ValueError("jitter_sigma must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,12 @@ renormalized only where probability marginals are required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .clustering import SoftAssignment
-from .geometry import DegenerateGeometryError, PointCloud, RigidTransform
+from .geometry import DegenerateGeometryError, PointCloud, RigidTransform, kabsch_rotation
 from .transport import TransportPlan, sinkhorn
 
 MOMENT_EPS = 1e-4
@@ -35,15 +34,14 @@ class WeightedGmm:
     weights sum to mass / (eps + mass) where mass is the total overlap mass
     n = sum_i o_i. covariances are symmetric positive semidefinite up to
     float noise. feature_centroids hold the same weighted averages computed
-    over feature rows instead of coordinates (None when the source cloud
-    carried no features).
+    over feature rows instead of coordinates.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
     mass: float
-    feature_centroids: Optional[np.ndarray] = None
+    feature_centroids: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -64,12 +62,10 @@ class WeightedGmm:
             raise ValueError("covariances must be positive semidefinite")
         if not (np.isfinite(self.mass) and self.mass >= 0):
             raise ValueError("mass must be finite and non-negative")
-        arrays = {"weights": w, "means": m, "covariances": c}
-        if self.feature_centroids is not None:
-            fc = np.asarray(self.feature_centroids, dtype=np.float64)
-            if fc.ndim != 2 or fc.shape[0] != l or not np.all(np.isfinite(fc)):
-                raise ValueError(f"feature_centroids must be finite with {l} rows")
-            arrays["feature_centroids"] = fc
+        fc = np.asarray(self.feature_centroids, dtype=np.float64)
+        if fc.ndim != 2 or fc.shape[0] != l or not np.all(np.isfinite(fc)):
+            raise ValueError(f"feature_centroids must be finite with {l} rows")
+        arrays = {"weights": w, "means": m, "covariances": c, "feature_centroids": fc}
         for name, arr in arrays.items():
             arr = arr.copy()
             arr.flags.writeable = False
@@ -82,7 +78,7 @@ class WeightedGmm:
 
 
 def estimate_gmm(
-    cloud: PointCloud, assignment: SoftAssignment, overlap: np.ndarray
+    cloud: PointCloud, features: np.ndarray, assignment: SoftAssignment, overlap: np.ndarray
 ) -> WeightedGmm:
     """Weighted mixture moments from soft memberships and overlap scores.
 
@@ -92,8 +88,9 @@ def estimate_gmm(
         mean_j   = sum_i ow_ij p_i / (eps + n * weight_j)
         cov_j    = sum_i ow_ij (p_i - mean_j)(p_i - mean_j)^T / (eps + n * weight_j)
 
-    Feature centroids follow the mean formula with feature rows in place of
-    coordinates. All-zero overlap is legal and produces a zero-mass mixture.
+    Feature centroids follow the mean formula with the (N, d) feature rows
+    in place of coordinates. All-zero overlap is legal and produces a
+    zero-mass mixture.
     """
     o = np.asarray(overlap, dtype=np.float64)
     n_pts = len(cloud)
@@ -101,6 +98,9 @@ def estimate_gmm(
         raise ValueError(f"overlap must have shape ({n_pts},), got {o.shape}")
     if np.any(o < 0) or np.any(o > 1) or not np.all(np.isfinite(o)):
         raise ValueError("overlap scores must lie in [0, 1]")
+    f = np.asarray(features, dtype=np.float64)
+    if f.ndim != 2 or f.shape[0] != n_pts:
+        raise ValueError(f"features must have shape ({n_pts}, d), got {f.shape}")
     s = assignment.scores
     if s.shape[0] != n_pts:
         raise ValueError(
@@ -122,9 +122,7 @@ def estimate_gmm(
         covs[j] = (centered * ow[:, j : j + 1]).T @ centered / denom[j]
         covs[j] = 0.5 * (covs[j] + covs[j].T)
 
-    feature_centroids = None
-    if cloud.features is not None:
-        feature_centroids = (ow.T @ cloud.features) / denom[:, None]
+    feature_centroids = (ow.T @ f) / denom[:, None]
     return WeightedGmm(weights, means, covs, mass, feature_centroids)
 
 
@@ -143,8 +141,6 @@ def match_components(gmm_p: WeightedGmm, gmm_q: WeightedGmm) -> TransportPlan:
     backstop; the plan's `converged` flag (`sinkhorn_converged` in
     `register`'s diagnostics) says whether it was reached.
     """
-    if gmm_p.feature_centroids is None or gmm_q.feature_centroids is None:
-        raise ValueError("both mixtures need feature centroids to be matched")
     if gmm_p.feature_centroids.shape[1] != gmm_q.feature_centroids.shape[1]:
         raise ValueError("feature centroid dimensions differ")
     wp, wq = gmm_p.weights.sum(), gmm_q.weights.sum()
@@ -161,18 +157,6 @@ def match_components(gmm_p: WeightedGmm, gmm_q: WeightedGmm) -> TransportPlan:
         max_iter=MATCH_MAX_ITER,
         tol=MATCH_TOL,
     )
-
-
-def _kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Proper rotation R maximizing trace(R h) for a 3x3 cross-moment h,
-    plus the singular values of h (for the caller's degeneracy checks).
-
-    The sign flip on the last singular direction rules out reflections.
-    Shared by the mixture solve below and ICP's row-matched solve.
-    """
-    u, s, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T, s
 
 
 def weighted_svd(
@@ -207,7 +191,7 @@ def weighted_svd(
     xp = mp - centroid_p
     xq = mq - centroid_q
     h = xp.T @ w @ xq
-    rotation, s = _kabsch_rotation(h)
+    rotation, s = kabsch_rotation(h)
     # Two failure modes: the cross moments cancel entirely (h is float
     # noise relative to the data scale), or the weighted means are
     # collinear (rank <= 1). Either way the rotation is underdetermined.

@@ -30,16 +30,11 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     as_integer,
+    kabsch_rotation,
     nearest_neighbors,
     transform_points,
 )
-from .mixture import (
-    WeightedGmm,
-    _kabsch_rotation,
-    estimate_gmm,
-    match_components,
-    weighted_svd,
-)
+from .mixture import WeightedGmm, estimate_gmm, match_components, weighted_svd
 from .transport import TransportPlan
 
 # Pipeline constants no caller varies: feature width, attention heads,
@@ -204,8 +199,8 @@ def _register_once(
 
     w_self, w_cross, head = weights
     with _timed(stage_ms, "self_attention"):
-        f_p = clustered_self_attention(enc_p.features, geo_p.gamma, w_self)
-        f_q = clustered_self_attention(enc_q.features, geo_q.gamma, w_self)
+        f_p = clustered_self_attention(enc_p, geo_p.gamma, w_self)
+        f_q = clustered_self_attention(enc_q, geo_q.gamma, w_self)
 
     if overlap is None:
         # Cross-attended features feed the overlap head alone, so only the
@@ -225,8 +220,8 @@ def _register_once(
         soft_q = soft_assignment(f_q, config.n_components, cluster_seed)
 
     with _timed(stage_ms, "moments"):
-        gmm_p = estimate_gmm(source.with_features(f_p), soft_p, o_p)
-        gmm_q = estimate_gmm(target.with_features(f_q), soft_q, o_q)
+        gmm_p = estimate_gmm(source, f_p, soft_p, o_p)
+        gmm_q = estimate_gmm(target, f_q, soft_q, o_q)
 
     with _timed(stage_ms, "matching"):
         plan = match_components(gmm_p, gmm_q)
@@ -348,7 +343,7 @@ def _paired_kabsch(a: np.ndarray, b: np.ndarray) -> RigidTransform:
     """Least-squares rigid motion for row-matched point sets."""
     ca = a.mean(axis=0)
     cb = b.mean(axis=0)
-    rotation, _ = _kabsch_rotation((a - ca).T @ (b - cb))
+    rotation, _ = kabsch_rotation((a - ca).T @ (b - cb))
     return RigidTransform(rotation, cb - rotation @ ca)
 
 

@@ -146,11 +146,11 @@ def test_criterion_03_gmm_moment_oracle(criterion):
         n_comp = int(rng.integers(1, 9))
         pts = rng.normal(size=(n, 3))
         feats = rng.normal(size=(n, 6))
-        cloud = PointCloud(pts, features=feats)
+        cloud = PointCloud(pts)
         assignment = soft_assignment(feats, n_comp, seed=case)
         # Every tenth case exercises the zero-mass guard.
         overlap = np.zeros(n) if case % 10 == 0 else rng.uniform(0.0, 1.0, n)
-        gmm = estimate_gmm(cloud, assignment, overlap)
+        gmm = estimate_gmm(cloud, feats, assignment, overlap)
         scores = assignment.scores
         mass = overlap.sum()
         for j in range(n_comp):
@@ -270,7 +270,7 @@ def test_criterion_06_attention_scaling(criterion):
 
     def stage_inputs(n):
         cloud = sample_shape("composite", n, seed=6)
-        feats = encode(cloud, feature_config).features
+        feats = encode(cloud, feature_config)
         gamma = wasserstein_kmeans(cloud, 16, seed=0).gamma.astype(np.float64)
         return feats, gamma
 
@@ -316,10 +316,10 @@ def test_criterion_07_encoding_invariance(criterion):
     config = FeatureConfig(d=16, k_neighbors=8)
     for kind, shape_seed in (("composite", 0), ("torus", 1)):
         cloud = sample_shape(kind, 128, seed=shape_seed)
-        reference = encode(cloud, config).features
+        reference = encode(cloud, config)
         for k in range(100):
             motion = random_transform(7000 + k, rot_max_deg=179.0, trans_max=3.0)
-            moved = encode(apply_transform(motion, cloud), config).features
+            moved = encode(apply_transform(motion, cloud), config)
             worst = max(worst, float(np.abs(moved - reference).max()))
     criterion(
         7,

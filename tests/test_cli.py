@@ -159,6 +159,33 @@ class TestConfigHandling:
         assert "integer" in json.loads(err)["error"]["message"]
         assert not (tmp_path / "bench.csv").exists()
 
+    @pytest.mark.parametrize(
+        "data, fragment",
+        [
+            ({"noise_sigma": float("nan")}, "jitter_sigma must be finite"),
+            ({"noise_sigma": float("inf")}, "jitter_sigma must be finite"),
+            ({"methods": "icp"}, "methods must be a list"),
+            ({"overlap_fractions": "0.7"}, "overlap_fractions must be a list"),
+            ({"cluster_counts": "8"}, "cluster_counts must be a list"),
+        ],
+        ids=["noise_sigma-nan", "noise_sigma-inf", "methods-str", "overlap_fractions-str",
+             "cluster_counts-str"],
+    )
+    def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, data, fragment):
+        # A non-finite noise level would run unjittered or fully clamped, and a
+        # string would be read as a list of its characters; both are refused.
+        config = write_config(tmp_path, data)
+        code = main([
+            "bench", "--profile", "desk", "--config", str(config),
+            "--out", str(tmp_path / "bench.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["kind"] == "config"
+        assert fragment in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_invalid_json_is_config_error(self, tmp_path, cloud_file, capsys):
         config = tmp_path / "config.json"
         config.write_text("{not json")

@@ -7,7 +7,6 @@ from ogmm.features import (
     SeededMlp,
     _knn_indices,
     encode,
-    local_descriptor,
 )
 from ogmm.geometry import PointCloud, apply_transform, pairwise_distances, random_transform
 from ogmm.io import sample_shape
@@ -142,9 +141,9 @@ class TestKnnIndicesTree:
         # returned arrays are laid out as the dense ones were.
         cloud = sample_shape("box", 2048, 3)
         cfg = FeatureConfig(d=16, k_neighbors=16)
-        got = local_descriptor(cloud, cfg)
+        got = encode(cloud, cfg)
         monkeypatch.setattr(features, "_knn_indices", reference_knn_indices)
-        np.testing.assert_array_equal(got, local_descriptor(cloud, cfg))
+        np.testing.assert_array_equal(got, encode(cloud, cfg))
 
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_coincident_points(self, k):
@@ -196,7 +195,7 @@ class TestLocalDescriptor:
     def test_matches_loop_oracle_through_shared_mlp(self):
         cloud = sample_shape("composite", 60, 0)
         cfg = FeatureConfig(d=16, k_neighbors=5, mlp_seed=9)
-        got = local_descriptor(cloud, cfg)
+        got = encode(cloud, cfg)
         stats = descriptor_stats_oracle(cloud.points, 5)
         seed = int(np.random.SeedSequence(9).generate_state(1)[0])
         expected = SeededMlp([10, 16, 16], seed=seed)(stats)
@@ -205,40 +204,33 @@ class TestLocalDescriptor:
     def test_rigid_invariance(self):
         cloud = sample_shape("torus", 100, 1)
         cfg = FeatureConfig(d=24, k_neighbors=6)
-        base = local_descriptor(cloud, cfg)
+        base = encode(cloud, cfg)
         for seed in range(20):
             t = random_transform(seed, rot_max_deg=179.0, trans_max=3.0)
-            moved = local_descriptor(apply_transform(t, cloud), cfg)
+            moved = encode(apply_transform(t, cloud), cfg)
             assert np.max(np.abs(moved - base)) <= 1e-6
 
     def test_permutation_equivariance(self):
         cloud = sample_shape("composite", 50, 2)
         cfg = FeatureConfig(d=8)
         perm = np.random.default_rng(3).permutation(50)
-        base = local_descriptor(cloud, cfg)
-        shuffled = local_descriptor(PointCloud(cloud.points[perm]), cfg)
+        base = encode(cloud, cfg)
+        shuffled = encode(PointCloud(cloud.points[perm]), cfg)
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-10)
 
     def test_seed_changes_features(self):
         cloud = sample_shape("sphere", 40, 3)
-        a = local_descriptor(cloud, FeatureConfig(d=8, mlp_seed=0))
-        b = local_descriptor(cloud, FeatureConfig(d=8, mlp_seed=1))
+        a = encode(cloud, FeatureConfig(d=8, mlp_seed=0))
+        b = encode(cloud, FeatureConfig(d=8, mlp_seed=1))
         assert not np.allclose(a, b)
 
     def test_too_few_points_rejected(self):
         cloud = PointCloud(np.random.default_rng(4).normal(size=(5, 3)))
         with pytest.raises(ValueError, match="k_neighbors"):
-            local_descriptor(cloud, FeatureConfig(k_neighbors=5))
+            encode(cloud, FeatureConfig(k_neighbors=5))
 
 
 class TestEncode:
-    def test_encode_is_the_local_descriptor(self):
-        cloud = sample_shape("box", 70, 6)
-        cfg = FeatureConfig(d=12)
-        enc = encode(cloud, cfg)
-        np.testing.assert_array_equal(enc.features, local_descriptor(cloud, cfg))
-        np.testing.assert_array_equal(enc.points, cloud.points)
-
     def test_one_neighbor_search_per_cloud(self, monkeypatch):
         calls = []
         real = features._knn_indices
@@ -254,10 +246,10 @@ class TestEncode:
     def test_encoded_features_invariant_under_motion(self):
         cloud = sample_shape("composite", 90, 7)
         cfg = FeatureConfig(d=16)
-        base = encode(cloud, cfg).features
+        base = encode(cloud, cfg)
         for seed in range(10):
             t = random_transform(seed, rot_max_deg=170.0, trans_max=1.5)
-            moved = encode(apply_transform(t, cloud), cfg).features
+            moved = encode(apply_transform(t, cloud), cfg)
             assert np.max(np.abs(moved - base)) <= 1e-6
 
     def test_two_clouds_same_seed_share_weights(self):
@@ -266,7 +258,7 @@ class TestEncode:
         cloud = sample_shape("sphere", 30, 8)
         clone = PointCloud(cloud.points.copy())
         cfg = FeatureConfig(d=8)
-        np.testing.assert_array_equal(encode(cloud, cfg).features, encode(clone, cfg).features)
+        np.testing.assert_array_equal(encode(cloud, cfg), encode(clone, cfg))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

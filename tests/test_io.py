@@ -254,6 +254,12 @@ class TestCropJitterDensity:
         # sigma = 4 clips: most draws exceed the clip, so the clamp engages.
         assert np.mean(delta > JITTER_CLIP - 1e-12) > 0.5
 
+    def test_non_finite_sigma_rejected(self):
+        cloud = sample_shape("sphere", 20, 0)
+        for sigma in (-0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                jitter_points(cloud, sigma, 1)
+
     def test_zero_sigma_is_identity(self):
         cloud = sample_shape("sphere", 50, 3)
         assert jitter_points(cloud, 0.0, 1) is cloud
@@ -370,6 +376,9 @@ class TestMakePair:
             PairSpec(overlap_keep_fraction=0.0)
         with pytest.raises(ValueError):
             PairSpec(density_keep=1.5)
+        for sigma in (-0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="jitter_sigma must be finite and non-negative"):
+                PairSpec(jitter_sigma=sigma)
         for count in (100.5, 100.0, True):
             with pytest.raises(ValueError, match="integer"):
                 PairSpec(n_points=count)

@@ -32,17 +32,16 @@ def brute_force_moments(points, features, scores, overlap):
     for j in range(n_comp):
         pi[j] = sum(overlap[i] * scores[i, j] for i in range(n_pts)) / (eps + n)
     mu = np.zeros((n_comp, 3))
-    nu = None if features is None else np.zeros((n_comp, features.shape[1]))
+    nu = np.zeros((n_comp, features.shape[1]))
     cov = np.zeros((n_comp, 3, 3))
     for j in range(n_comp):
         denom = eps + n * pi[j]
         for i in range(n_pts):
             mu[j] += overlap[i] * scores[i, j] * points[i]
         mu[j] /= denom
-        if nu is not None:
-            for i in range(n_pts):
-                nu[j] += overlap[i] * scores[i, j] * features[i]
-            nu[j] /= denom
+        for i in range(n_pts):
+            nu[j] += overlap[i] * scores[i, j] * features[i]
+        nu[j] /= denom
         for i in range(n_pts):
             diff = (points[i] - mu[j])[:, None]
             cov[j] += overlap[i] * scores[i, j] * (diff @ diff.T)
@@ -63,13 +62,12 @@ class TestEstimateGmm:
         rng = np.random.default_rng(0)
         for trial in range(5):
             n, l = 40, 6
-            cloud = PointCloud(rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
+            cloud = PointCloud(rng.normal(size=(n, 3)))
+            feats = rng.normal(size=(n, 4))
             soft = random_soft(n, l, trial)
             overlap = rng.uniform(0.0, 1.0, size=n)
-            gmm = estimate_gmm(cloud, soft, overlap)
-            pi, mu, cov, nu = brute_force_moments(
-                cloud.points, cloud.features, soft.scores, overlap
-            )
+            gmm = estimate_gmm(cloud, feats, soft, overlap)
+            pi, mu, cov, nu = brute_force_moments(cloud.points, feats, soft.scores, overlap)
             np.testing.assert_allclose(gmm.weights, pi, atol=1e-10)
             np.testing.assert_allclose(gmm.means, mu, atol=1e-10)
             np.testing.assert_allclose(gmm.covariances, cov, atol=1e-10)
@@ -83,7 +81,7 @@ class TestEstimateGmm:
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         cloud = PointCloud(pts)
         soft = SoftAssignment(np.ones((2, 1)), np.zeros((1, 3)))
-        gmm = estimate_gmm(cloud, soft, np.ones(2))
+        gmm = estimate_gmm(cloud, pts, soft, np.ones(2))
         eps = MOMENT_EPS
         w = 2.0 / (eps + 2.0)
         np.testing.assert_allclose(gmm.weights, [w], atol=1e-15)
@@ -101,7 +99,7 @@ class TestEstimateGmm:
             cloud = PointCloud(rng.normal(size=(n, 3)))
             soft = random_soft(n, 4, trial + 100)
             overlap = rng.uniform(0, 1, size=n)
-            gmm = estimate_gmm(cloud, soft, overlap)
+            gmm = estimate_gmm(cloud, cloud.points, soft, overlap)
             n_mass = overlap.sum()
             assert np.isclose(gmm.weights.sum(), n_mass / (MOMENT_EPS + n_mass), atol=1e-12)
 
@@ -109,13 +107,13 @@ class TestEstimateGmm:
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.normal(size=(60, 3)))
         soft = random_soft(60, 8, 3)
-        gmm = estimate_gmm(cloud, soft, rng.uniform(0, 1, size=60))
+        gmm = estimate_gmm(cloud, cloud.points, soft, rng.uniform(0, 1, size=60))
         assert np.min(np.linalg.eigvalsh(gmm.covariances)) >= -1e-10
 
     def test_zero_overlap_gives_zero_mass_mixture(self):
         cloud = PointCloud(np.random.default_rng(3).normal(size=(10, 3)))
         soft = random_soft(10, 2, 4)
-        gmm = estimate_gmm(cloud, soft, np.zeros(10))
+        gmm = estimate_gmm(cloud, cloud.points, soft, np.zeros(10))
         assert gmm.mass == 0.0
         np.testing.assert_array_equal(gmm.weights, np.zeros(2))
         np.testing.assert_array_equal(gmm.means, np.zeros((2, 3)))
@@ -128,7 +126,7 @@ class TestEstimateGmm:
         overlap = np.concatenate([np.ones(30), np.zeros(15)])
         feats = np.concatenate([cloud.points, np.linalg.norm(cloud.points, axis=1, keepdims=True)], axis=1)
         soft = soft_assignment(feats, 3, seed=0)
-        gmm = estimate_gmm(cloud, soft, overlap)
+        gmm = estimate_gmm(cloud, feats, soft, overlap)
         # All means stay near the core blob despite the far-away junk points.
         assert np.all(np.linalg.norm(gmm.means, axis=1) < 1.0)
 
@@ -136,18 +134,25 @@ class TestEstimateGmm:
         cloud = PointCloud(np.zeros((3, 3)))
         soft = SoftAssignment(np.ones((3, 1)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match="0, 1"):
-            estimate_gmm(cloud, soft, np.array([0.5, 1.2, 0.0]))
+            estimate_gmm(cloud, cloud.points, soft, np.array([0.5, 1.2, 0.0]))
         with pytest.raises(ValueError, match="shape"):
-            estimate_gmm(cloud, soft, np.array([0.5, 0.5]))
+            estimate_gmm(cloud, cloud.points, soft, np.array([0.5, 0.5]))
+
+    def test_feature_rows_must_match_the_cloud(self):
+        cloud = PointCloud(np.zeros((3, 3)))
+        soft = SoftAssignment(np.ones((3, 1)), np.zeros((1, 3)))
+        for feats in (np.zeros((2, 4)), np.zeros((4, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match="features must have shape"):
+                estimate_gmm(cloud, feats, soft, np.ones(3))
 
     def test_gmm_type_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
             bad = np.zeros((1, 3, 3))
             bad[0, 0, 1] = 1.0
-            WeightedGmm(np.ones(1), np.zeros((1, 3)), bad, 1.0)
+            WeightedGmm(np.ones(1), np.zeros((1, 3)), bad, 1.0, np.zeros((1, 4)))
         with pytest.raises(ValueError, match="semidefinite"):
             neg = -np.eye(3)[None, :, :]
-            WeightedGmm(np.ones(1), np.zeros((1, 3)), neg, 1.0)
+            WeightedGmm(np.ones(1), np.zeros((1, 3)), neg, 1.0, np.zeros((1, 4)))
 
 
 class TestWeightedSvd:
@@ -286,11 +291,4 @@ class TestMatchComponents:
         gp = self.make_gmm(rng.normal(size=(3, 3)), feats, weights=np.zeros(3), mass=0.0)
         gq = self.make_gmm(rng.normal(size=(3, 3)), feats)
         with pytest.raises(DegenerateGeometryError, match="no overlap mass"):
-            match_components(gp, gq)
-
-    def test_missing_features_rejected(self):
-        rng = np.random.default_rng(14)
-        gp = self.make_gmm(rng.normal(size=(3, 3)), None)
-        gq = self.make_gmm(rng.normal(size=(3, 3)), rng.normal(size=(3, 4)))
-        with pytest.raises(ValueError, match="feature centroids"):
             match_components(gp, gq)

@@ -517,6 +517,25 @@ def test_every_traced_boundary_exists(monkeypatch):
     assert len(tracer.present) == len(spans.BOUNDARIES)
 
 
+def test_every_traced_boundary_is_reached(monkeypatch):
+    """Each traced boundary is not only present but called: a pipeline that
+    reached a stage some other way than through the binding spans.py
+    patches would drop that stage's metrics from the benchmark. Pair 0 of
+    partial-desk-n256 runs once on its own (predicted) config and once
+    with its ground-truth overlap, whose 3 starts reach restart selection."""
+    spans = _load_perfbench("spans", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    pair = workloads.WORKLOADS["partial-desk-n256"].make(5, 0)
+    with spans.Tracer() as tracer:
+        register(pair.source, pair.target, pair.config)
+        register(
+            pair.source, pair.target, pair.config,
+            pair.gt_overlap_source.astype(np.float64), pair.gt_overlap_target.astype(np.float64),
+        )
+    reached = {span.name for span in tracer.spans}
+    assert [name for name, _, _ in spans.BOUNDARIES if name not in reached] == []
+
+
 @pytest.mark.parametrize(
     "name, count",
     [("identical-n512", 6), ("partial-desk-n256", 6), ("large-n4096", 1)],

@@ -482,7 +482,7 @@ def _farthest_point_problem(dim, n, j):
         points = cloud.points
     else:
         config = FeatureConfig(FEATURE_DIM, RegisterConfig().k_neighbors, FEATURE_SEED)
-        points = encode(cloud, config).features
+        points = encode(cloud, config)
         assert points.shape == (n, dim)
     return points, points[farthest_point_sample(points, j, 0)]
 
