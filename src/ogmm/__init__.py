@@ -4,7 +4,6 @@ from .attention import (
     AttentionMlp,
     AttentionWeights,
     OverlapHead,
-    cluster_feature_centroids,
     clustered_cross_attention,
     clustered_self_attention,
     full_self_attention,

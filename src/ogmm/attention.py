@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import cluster_means, softmax_rows
+
 INSTANCE_NORM_EPS = 1e-5
 
 
@@ -121,12 +123,6 @@ class AttentionWeights:
         return cls(wq, wk, wv, wo, mlp)
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _attend(queries: np.ndarray, keys_values: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     """Scaled dot-product attention of query rows over key/value rows,
     followed by the residual MLP update."""
@@ -155,23 +151,12 @@ def _attend(queries: np.ndarray, keys_values: np.ndarray, weights: AttentionWeig
     return q_in + weights.mlp(out)
 
 
-def cluster_feature_centroids(features: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Mean feature row of each cluster given one-hot memberships."""
-    f = np.asarray(features, dtype=np.float64)
-    g = np.asarray(gamma, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != f.shape[0]:
-        raise ValueError(f"gamma must have shape (N, J) with N={f.shape[0]}, got {g.shape}")
-    sizes = g.sum(axis=0)
-    if np.any(sizes == 0):
-        raise ValueError("empty cluster has no centroid")
-    return (g.T @ f) / sizes[:, None]
-
-
 def clustered_self_attention(
-    features: np.ndarray, gamma: np.ndarray, weights: AttentionWeights
+    features: np.ndarray, labels: np.ndarray, weights: AttentionWeights
 ) -> np.ndarray:
-    """Each point attends to the J cluster centroids of its own cloud."""
-    centroids = cluster_feature_centroids(features, gamma)
+    """Each point attends to the cluster centroids of its own cloud; labels
+    number the clusters from 0, none of them empty."""
+    centroids = cluster_means(features, labels, int(np.max(labels)) + 1)
     return _attend(features, centroids, weights)
 
 
@@ -184,11 +169,11 @@ def full_self_attention(features: np.ndarray, weights: AttentionWeights) -> np.n
 def clustered_cross_attention(
     features_p: np.ndarray,
     features_q: np.ndarray,
-    gamma_q: np.ndarray,
+    labels_q: np.ndarray,
     weights: AttentionWeights,
 ) -> np.ndarray:
     """Points of one cloud attend to the other cloud's cluster centroids."""
-    centroids = cluster_feature_centroids(features_q, gamma_q)
+    centroids = cluster_means(features_q, labels_q, int(np.max(labels_q)) + 1)
     return _attend(features_p, centroids, weights)
 
 
@@ -245,6 +230,6 @@ def overlap_scores(
     fq = np.asarray(features_q, dtype=np.float64)
     if fp.ndim != 2 or fq.ndim != 2 or fp.shape[1] != head.d or fq.shape[1] != head.d:
         raise ValueError(f"feature matrices must be (*, {head.d}), got {fp.shape} and {fq.shape}")
-    pool = _softmax_rows(fp @ fq.T / head.tau)
+    pool = softmax_rows(fp @ fq.T / head.tau)
     summary = pool @ head.g_alpha(fq)
     return head.g_beta(np.concatenate([fp, summary[:, None]], axis=1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -80,7 +81,7 @@ class BenchConfig:
 
     def __post_init__(self):
         for name in ("methods", "overlap_fractions", "cluster_counts"):
-            if isinstance(getattr(self, name), str):
+            if not isinstance(getattr(self, name), (list, tuple)):
                 raise BenchConfigError(f"{name} must be a list")
         object.__setattr__(self, "overlap_fractions", tuple(float(v) for v in self.overlap_fractions))
         counts = (as_integer(c, "a cluster count", BenchConfigError) for c in self.cluster_counts)
@@ -103,6 +104,9 @@ class BenchConfig:
             raise BenchConfigError("trials must be at least 1")
         if self.shape_kind not in SHAPE_KINDS:
             raise BenchConfigError(f"shape_kind must be one of {SHAPE_KINDS}")
+        # PairSpec checks this too, but as its jitter_sigma.
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise BenchConfigError("noise_sigma must be finite and non-negative")
         try:
             self.pair_spec(self.cells()[0], 0)
         except ValueError as exc:

@@ -5,7 +5,8 @@ cluster holds floor(N/J) or ceil(N/J) points. Each assignment step relaxes
 the constraint to an entropic transport problem (points carry mass 1/N,
 clusters capacity 1/J) and rounds the plan under those capacities, so the
 size guarantee holds exactly regardless of how converged the transport
-plan is.
+plan is. A hard clustering is its label vector; `cluster_means` turns labels
+into group means for the Lloyd steps and for clustered attention alike.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .attention import _softmax_rows
 from .geometry import PointCloud, farthest_point_sample
 from .transport import sinkhorn
 
@@ -44,19 +44,18 @@ TEMPERATURE = 0.1
 class ClusterAssignment:
     """Hard balanced clustering of N items into J groups.
 
-    gamma is the N x J one-hot membership matrix; centroids are the final
-    group means; sizes the per-group counts, each floor(N/J) or ceil(N/J).
-    objective is the summed squared distance of each item to its centroid
-    at the last accepted iteration, and history the accepted objective
-    sequence (non-increasing). The
+    labels give each item's group in [0, J), J being the number of
+    centroids, which are the final group means; every group holds
+    floor(N/J) or ceil(N/J) items. objective is the summed squared distance
+    of each item to its centroid at the last accepted iteration, and
+    history the accepted objective sequence (non-increasing). The
     sinkhorn_* fields describe the assignment steps' transport solves:
     calls, their summed iterations, the calls that ended at the iteration
     budget unconverged, and the largest marginal error of any call.
     """
 
-    gamma: np.ndarray
+    labels: np.ndarray
     centroids: np.ndarray
-    sizes: np.ndarray
     objective: float
     n_iter: int
     history: tuple
@@ -66,40 +65,47 @@ class ClusterAssignment:
     sinkhorn_marginal_error_max: float = 0.0
 
     def __post_init__(self):
-        g = np.asarray(self.gamma)
-        if g.ndim != 2:
-            raise ValueError(f"gamma must be a matrix, got shape {g.shape}")
-        if not np.all((g == 0) | (g == 1)):
-            raise ValueError("gamma must be binary")
-        # Exact, since gamma is binary; a row's argmax is then its first one.
-        g = g.astype(np.uint8)
-        n, j = g.shape
-        labels = g.view(np.bool_).argmax(axis=1) if j else np.zeros(n, dtype=np.intp)
-        # n ones in all, one of them at each row's argmax: one per row.
-        if np.count_nonzero(g) != n or not g.ravel()[np.arange(n) * j + labels].all():
-            raise ValueError("every row of gamma must select exactly one cluster")
-        sizes = np.asarray(self.sizes)
-        if sizes.shape != (j,) or not np.array_equal(sizes, np.bincount(labels, minlength=j)):
-            raise ValueError("sizes must equal the gamma column sums")
-        lo, hi = n // j, -(-n // j)
-        if sizes.size and (sizes.min() < lo or sizes.max() > hi):
-            raise ValueError(f"cluster sizes deviate from N/J: each must be {lo} or {hi}")
         c = np.asarray(self.centroids, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != j or not np.all(np.isfinite(c)):
-            raise ValueError("centroids must be a finite (J, dim) matrix")
-        g.flags.writeable = False
-        sizes = sizes.astype(np.int64)
-        sizes.flags.writeable = False
+        if c.ndim != 2 or not len(c) or not np.all(np.isfinite(c)):
+            raise ValueError("centroids must be a finite (J, dim) matrix with J >= 1")
+        j = len(c)
+        labels = np.asarray(self.labels)
+        if not (labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer)) or np.any(
+            (labels < 0) | (labels >= j)
+        ):
+            raise ValueError(f"labels must be a vector of integers in [0, {j})")
+        labels = labels.astype(np.intp)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        sizes = self.sizes
+        lo, hi = labels.size // j, -(-labels.size // j)
+        if sizes.min() < lo or sizes.max() > hi:
+            raise ValueError(f"cluster sizes deviate from N/J: each must be {lo} or {hi}")
         c = c.copy()
         c.flags.writeable = False
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "history", tuple(float(h) for h in self.history))
 
     @property
-    def labels(self) -> np.ndarray:
-        return np.argmax(self.gamma, axis=1)
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.labels, minlength=len(self.centroids))
+
+
+def cluster_means(x: np.ndarray, labels: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Mean row of x in each of n_clusters hard clusters, labels[i] being
+    row i's cluster.
+
+    The float one-hot BLAS product over the cluster sizes, not a
+    per-cluster sum: the Lloyd steps and clustered attention share its
+    summation order, so their means agree bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    sizes = np.bincount(labels, minlength=n_clusters)
+    if not sizes.all():
+        raise ValueError("empty cluster has no mean")
+    one_hot = np.zeros((len(labels), n_clusters))
+    one_hot[np.arange(len(labels)), labels] = 1.0
+    return (one_hot.T @ x) / sizes[:, None]
 
 
 def _round_balanced(plan: np.ndarray, n: int, j: int) -> np.ndarray:
@@ -250,10 +256,7 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
     centroids = x[farthest_point_sample(x, j, seed)]
     row_mass = np.full(n, 1.0 / n)
     col_mass = np.full(j, 1.0 / j)
-    # gamma's flat index of each row's first entry. gamma and residual are
-    # reused across steps.
-    first = np.arange(0, n * j, j)
-    gamma = np.zeros((n, j))
+    # Reused across steps.
     residual = np.empty_like(x)
     best = None
     prev_obj = np.inf
@@ -282,11 +285,7 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
         unconverged += not plan.converged
         error_max = max(error_max, plan.marginal_error)
         labels = _round_balanced(plan.matrix, n, j)
-        gamma.fill(0.0)
-        gamma.ravel()[first + labels] = 1.0
-        # The BLAS product, not a per-cluster sum, so the centroids keep
-        # its summation order.
-        centroids_new = (gamma.T @ x) / np.bincount(labels, minlength=j)[:, None]
+        centroids_new = cluster_means(x, labels, j)
         np.take(centroids_new, labels, axis=0, out=residual)
         np.subtract(x, residual, out=residual)
         residual *= residual
@@ -304,11 +303,8 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
         centroids = centroids_new
     assert best is not None
     labels, centroids, obj = best
-    gamma = np.zeros((n, j), dtype=np.uint8)
-    gamma.ravel()[first + labels] = 1
-    sizes = np.bincount(labels, minlength=j)
     return ClusterAssignment(
-        gamma, centroids, sizes, obj, n_iter, tuple(history),
+        labels, centroids, obj, n_iter, tuple(history),
         sinkhorn_calls=calls,
         sinkhorn_iterations=iterations,
         sinkhorn_unconverged=unconverged,
@@ -330,11 +326,11 @@ def wasserstein_kmeans(cloud: PointCloud, n_clusters: int, seed: int) -> Cluster
 class SoftAssignment:
     """Row-stochastic soft membership of N items over L components.
 
-    kmeans is the balanced clustering that placed the centroids.
+    kmeans is the balanced clustering that placed the components'
+    centroids.
     """
 
     scores: np.ndarray
-    centroids: np.ndarray
     kmeans: Optional[ClusterAssignment] = None
 
     def __post_init__(self):
@@ -345,15 +341,16 @@ class SoftAssignment:
             raise ValueError("scores must be finite and non-negative")
         if np.max(np.abs(s.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("score rows must sum to one")
-        c = np.asarray(self.centroids, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != s.shape[1]:
-            raise ValueError("centroids must have one row per component")
         s = s.copy()
         s.flags.writeable = False
-        c = c.copy()
-        c.flags.writeable = False
         object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "centroids", c)
+
+
+def softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Softmax of each row, shifted by the row's max so exp stays finite."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def soft_assignment(features: np.ndarray, n_components: int, seed: int) -> SoftAssignment:
@@ -366,5 +363,5 @@ def soft_assignment(features: np.ndarray, n_components: int, seed: int) -> SoftA
     if f.ndim != 2:
         raise ValueError(f"features must be a matrix, got shape {f.shape}")
     assignment = _kmeans_balanced(f, n_components, seed)
-    scores = _softmax_rows(-cdist(f, assignment.centroids, "sqeuclidean") / TEMPERATURE)
-    return SoftAssignment(scores, assignment.centroids, kmeans=assignment)
+    scores = softmax_rows(-cdist(f, assignment.centroids, "sqeuclidean") / TEMPERATURE)
+    return SoftAssignment(scores, kmeans=assignment)

@@ -72,10 +72,6 @@ class WeightedGmm:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "mass", float(self.mass))
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
 
 def estimate_gmm(
     cloud: PointCloud, features: np.ndarray, assignment: SoftAssignment, overlap: np.ndarray

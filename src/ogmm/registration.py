@@ -199,15 +199,15 @@ def _register_once(
 
     w_self, w_cross, head = weights
     with _timed(stage_ms, "self_attention"):
-        f_p = clustered_self_attention(enc_p, geo_p.gamma, w_self)
-        f_q = clustered_self_attention(enc_q, geo_q.gamma, w_self)
+        f_p = clustered_self_attention(enc_p, geo_p.labels, w_self)
+        f_q = clustered_self_attention(enc_q, geo_q.labels, w_self)
 
     if overlap is None:
         # Cross-attended features feed the overlap head alone, so only the
         # predicted arm computes them.
         with _timed(stage_ms, "cross_attention"):
-            f_p_cross = clustered_cross_attention(f_p, f_q, geo_q.gamma, w_cross)
-            f_q_cross = clustered_cross_attention(f_q, f_p, geo_p.gamma, w_cross)
+            f_p_cross = clustered_cross_attention(f_p, f_q, geo_q.labels, w_cross)
+            f_q_cross = clustered_cross_attention(f_q, f_p, geo_p.labels, w_cross)
         with _timed(stage_ms, "overlap_head"):
             o_p = overlap_scores(f_p_cross, f_q_cross, head)
             o_q = overlap_scores(f_q_cross, f_p_cross, head)

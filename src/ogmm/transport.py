@@ -53,7 +53,7 @@ class TransportPlan:
     converged: bool
     iterations: int
     marginal_error: float
-    potentials: Optional[np.ndarray] = None
+    potentials: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -69,12 +69,11 @@ class TransportPlan:
             raise ValueError("plan contains negative mass")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if self.potentials is not None:
-            p = np.array(self.potentials, dtype=np.float64)
-            if p.shape != (m.shape[1],):
-                raise ValueError(f"potentials must have shape ({m.shape[1]},), got {p.shape}")
-            p.flags.writeable = False
-            object.__setattr__(self, "potentials", p)
+        p = np.array(self.potentials, dtype=np.float64)
+        if p.shape != (m.shape[1],):
+            raise ValueError(f"potentials must have shape ({m.shape[1]},), got {p.shape}")
+        p.flags.writeable = False
+        object.__setattr__(self, "potentials", p)
 
 
 def _validate_marginal(w, size: int, name: str):
@@ -158,13 +157,13 @@ def _newton_step(pi: np.ndarray, plan: np.ndarray, grad: np.ndarray, mu: np.ndar
     diagonal[:] = degree + RIDGE
     step = np.zeros_like(grad)
     # The LAPACK gesv loop np.linalg.solve calls, without its Python
-    # wrapper. The loop flags a singular system as an invalid value; it then
-    # goes back to np.linalg.solve, which raises LinAlgError as before.
+    # wrapper. The loop flags a singular system as an invalid value, which
+    # np.linalg.solve reports as this LinAlgError.
     try:
         with np.errstate(invalid="raise"):
             step[:-1] = _umath_linalg.solve1(system[:-1, :-1], grad[:-1])
     except FloatingPointError:
-        step[:-1] = np.linalg.solve(system[:-1, :-1], grad[:-1])
+        raise np.linalg.LinAlgError("Singular matrix") from None
     slope = float(grad @ step)
     step_nu = float(step @ nu)
     t = MAX_STEP / max(float(np.abs(step).max()), MAX_STEP)

@@ -250,9 +250,9 @@ def test_criterion_05_clustered_equals_full_at_j_n(criterion):
         n = int(rng.integers(8, 65))
         cloud = PointCloud(rng.normal(size=(n, 3)))
         feats = rng.normal(size=(n, 16))
-        gamma = wasserstein_kmeans(cloud, n, seed=seed).gamma.astype(np.float64)
+        labels = wasserstein_kmeans(cloud, n, seed=seed).labels
         weights = AttentionWeights.seeded(16, heads=4, seed=seed)
-        clustered = clustered_self_attention(feats, gamma, weights)
+        clustered = clustered_self_attention(feats, labels, weights)
         full = full_self_attention(feats, weights)
         worst = max(worst, float(np.abs(clustered - full).max()))
     criterion(5, "clustered equivalence at J=N", worst <= 1e-6, f"20 instances, worst diff {worst:.2e}")
@@ -271,22 +271,22 @@ def test_criterion_06_attention_scaling(criterion):
     def stage_inputs(n):
         cloud = sample_shape("composite", n, seed=6)
         feats = encode(cloud, feature_config)
-        gamma = wasserstein_kmeans(cloud, 16, seed=0).gamma.astype(np.float64)
-        return feats, gamma
+        labels = wasserstein_kmeans(cloud, 16, seed=0).labels
+        return feats, labels
 
-    def clustered_stage(feats, gamma):
+    def clustered_stage(feats, labels):
         weights = AttentionWeights.seeded(16, heads=4, seed=0)
-        return clustered_self_attention(feats, gamma, weights)
+        return clustered_self_attention(feats, labels, weights)
 
     def full_stage(feats):
         weights = AttentionWeights.seeded(16, heads=4, seed=0)
         return full_self_attention(feats, weights)
 
-    feats_small, gamma_small = stage_inputs(512)
-    feats_big, gamma_big = stage_inputs(1024)
+    feats_small, labels_small = stage_inputs(512)
+    feats_big, labels_big = stage_inputs(1024)
     units = {
-        "c512": (lambda: clustered_stage(feats_small, gamma_small), 20),
-        "c1024": (lambda: clustered_stage(feats_big, gamma_big), 20),
+        "c512": (lambda: clustered_stage(feats_small, labels_small), 20),
+        "c1024": (lambda: clustered_stage(feats_big, labels_big), 20),
         "f512": (lambda: full_stage(feats_small), 5),
         "f1024": (lambda: full_stage(feats_big), 3),
     }

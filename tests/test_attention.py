@@ -5,26 +5,21 @@ from ogmm.attention import (
     AttentionMlp,
     AttentionWeights,
     OverlapHead,
-    cluster_feature_centroids,
     clustered_cross_attention,
     clustered_self_attention,
     full_self_attention,
     instance_norm,
     overlap_scores,
 )
+from ogmm.clustering import cluster_means
 
 
-def identity_gamma(n):
-    return np.eye(n, dtype=np.uint8)
-
-
-def random_gamma(n, j, seed):
+def random_labels(n, j, seed):
+    """n cluster labels in [0, j), every cluster used."""
     rng = np.random.default_rng(seed)
     labels = np.concatenate([np.arange(j), rng.integers(0, j, size=n - j)])
     rng.shuffle(labels)
-    gamma = np.zeros((n, j), dtype=np.uint8)
-    gamma[np.arange(n), labels] = 1
-    return gamma
+    return labels
 
 
 class TestInstanceNorm:
@@ -44,20 +39,22 @@ class TestInstanceNorm:
 
 
 class TestCentroids:
+    """The centroids clustered attention attends to: `cluster_means`."""
+
     def test_matches_per_cluster_means(self):
         rng = np.random.default_rng(1)
         f = rng.normal(size=(30, 6))
-        gamma = random_gamma(30, 4, seed=2)
-        cents = cluster_feature_centroids(f, gamma)
-        labels = np.argmax(gamma, axis=1)
+        labels = random_labels(30, 4, seed=2)
+        cents = cluster_means(f, labels, 4)
         for j in range(4):
             np.testing.assert_allclose(cents[j], f[labels == j].mean(axis=0), atol=1e-12)
+        # Bit for bit the one-hot product over the column sums.
+        one_hot = np.eye(4)[labels]
+        np.testing.assert_array_equal(cents, (one_hot.T @ f) / one_hot.sum(axis=0)[:, None])
 
     def test_empty_cluster_rejected(self):
-        f = np.zeros((3, 2))
-        gamma = np.array([[1, 0], [1, 0], [1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="empty cluster"):
-            cluster_feature_centroids(f, gamma)
+            cluster_means(np.zeros((3, 2)), np.zeros(3, dtype=int), 2)
 
 
 class TestAttentionFormula:
@@ -66,11 +63,11 @@ class TestAttentionFormula:
         rng = np.random.default_rng(3)
         d, n, j = 4, 6, 3
         f = rng.normal(size=(n, d))
-        gamma = random_gamma(n, j, seed=4)
+        labels = random_labels(n, j, seed=4)
         w = AttentionWeights.seeded(d, heads=1, seed=5)
-        got = clustered_self_attention(f, gamma, w)
+        got = clustered_self_attention(f, labels, w)
 
-        cents = gamma.T.astype(float) @ f / gamma.sum(axis=0)[:, None]
+        cents = np.stack([f[labels == l].mean(axis=0) for l in range(j)])
         q = f @ w.wq[0]
         k = cents @ w.wk[0]
         v = cents @ w.wv[0]
@@ -98,8 +95,7 @@ class TestAttentionFormula:
         wv[0, 0, 0] = wv[0, 1, 1] = 1.0
         wv[1, 2, 0] = wv[1, 3, 1] = 1.0
         w = AttentionWeights(wq, wk, wv, np.eye(4), AttentionMlp(np.eye(4), np.eye(4), np.eye(4)))
-        gamma = np.ones((n, 1), dtype=np.uint8)
-        got = clustered_self_attention(f, gamma, w)
+        got = clustered_self_attention(f, np.zeros(n, dtype=int), w)
         centroid = f.mean(axis=0)
         merged = np.tile(centroid, (n, 1))  # both heads see the same centroid
         h = np.maximum(instance_norm(merged), 0.0)
@@ -114,7 +110,7 @@ class TestResidualGuarantees:
         w = AttentionWeights.seeded(8, heads=2, seed=0)
         w.wv = np.zeros_like(w.wv)
         w.mlp = AttentionMlp.zeros(8)
-        np.testing.assert_array_equal(clustered_self_attention(f, random_gamma(10, 3, 0), w), f)
+        np.testing.assert_array_equal(clustered_self_attention(f, random_labels(10, 3, 0), w), f)
         np.testing.assert_array_equal(full_self_attention(f, w), f)
 
     def test_zero_mlp_alone_is_identity(self):
@@ -129,7 +125,7 @@ class TestResidualGuarantees:
         fp = rng.normal(size=(7, 4))
         fq = np.zeros((5, 4))
         w = AttentionWeights.seeded(4, heads=2, seed=2)
-        got = clustered_cross_attention(fp, fq, random_gamma(5, 2, 1), w)
+        got = clustered_cross_attention(fp, fq, random_labels(5, 2, 1), w)
         np.testing.assert_array_equal(got, fp)
 
     def test_single_point_cloud_returns_input_exactly(self):
@@ -137,38 +133,38 @@ class TestResidualGuarantees:
         w = AttentionWeights.seeded(4, heads=2, seed=3)
         np.testing.assert_array_equal(full_self_attention(f, w), f)
         np.testing.assert_array_equal(
-            clustered_self_attention(f, np.array([[1]], dtype=np.uint8), w), f
+            clustered_self_attention(f, np.zeros(1, dtype=int), w), f
         )
 
 
 class TestClusteredVsFull:
-    def test_identity_gamma_equals_full_attention(self):
+    def test_singleton_clusters_equal_full_attention(self):
         rng = np.random.default_rng(10)
         for n, d, heads in [(8, 4, 1), (16, 8, 4), (33, 8, 2)]:
             f = rng.normal(size=(n, d))
             w = AttentionWeights.seeded(d, heads=heads, seed=n)
-            clustered = clustered_self_attention(f, identity_gamma(n), w)
+            clustered = clustered_self_attention(f, np.arange(n), w)
             full = full_self_attention(f, w)
             np.testing.assert_allclose(clustered, full, atol=1e-9)
 
     def test_cross_attention_on_same_cloud_equals_self(self):
         rng = np.random.default_rng(11)
         f = rng.normal(size=(12, 8))
-        gamma = random_gamma(12, 4, seed=5)
+        labels = random_labels(12, 4, seed=5)
         w = AttentionWeights.seeded(8, heads=2, seed=6)
         np.testing.assert_array_equal(
-            clustered_cross_attention(f, f, gamma, w),
-            clustered_self_attention(f, gamma, w),
+            clustered_cross_attention(f, f, labels, w),
+            clustered_self_attention(f, labels, w),
         )
 
     def test_permuting_points_permutes_outputs(self):
         rng = np.random.default_rng(12)
         f = rng.normal(size=(14, 4))
-        gamma = random_gamma(14, 3, seed=7)
+        labels = random_labels(14, 3, seed=7)
         w = AttentionWeights.seeded(4, heads=2, seed=8)
         perm = rng.permutation(14)
-        base = clustered_self_attention(f, gamma, w)
-        permuted = clustered_self_attention(f[perm], gamma[perm], w)
+        base = clustered_self_attention(f, labels, w)
+        permuted = clustered_self_attention(f[perm], labels[perm], w)
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 

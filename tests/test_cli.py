@@ -162,18 +162,24 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "data, fragment",
         [
-            ({"noise_sigma": float("nan")}, "jitter_sigma must be finite"),
-            ({"noise_sigma": float("inf")}, "jitter_sigma must be finite"),
+            ({"noise_sigma": float("nan")}, "noise_sigma must be finite"),
+            ({"noise_sigma": float("inf")}, "noise_sigma must be finite"),
+            ({"density_keep": float("nan")}, "density_keep must lie in (0, 1]"),
             ({"methods": "icp"}, "methods must be a list"),
+            ({"methods": {"icp": 1}}, "methods must be a list"),
             ({"overlap_fractions": "0.7"}, "overlap_fractions must be a list"),
+            ({"overlap_fractions": 0.7}, "overlap_fractions must be a list"),
             ({"cluster_counts": "8"}, "cluster_counts must be a list"),
+            ({"cluster_counts": 8}, "cluster_counts must be a list"),
         ],
-        ids=["noise_sigma-nan", "noise_sigma-inf", "methods-str", "overlap_fractions-str",
-             "cluster_counts-str"],
+        ids=["noise_sigma-nan", "noise_sigma-inf", "density_keep-nan", "methods-str",
+             "methods-object", "overlap_fractions-str", "overlap_fractions-float",
+             "cluster_counts-str", "cluster_counts-int"],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, data, fragment):
         # A non-finite noise level would run unjittered or fully clamped, and a
-        # string would be read as a list of its characters; both are refused.
+        # string or an object would be read as the list of its characters or
+        # keys; all are refused, under the config's own key names.
         config = write_config(tmp_path, data)
         code = main([
             "bench", "--profile", "desk", "--config", str(config),

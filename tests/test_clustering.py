@@ -189,11 +189,8 @@ def reference_kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
         centroids = centroids_new
     assert best is not None
     labels, centroids, obj = best
-    gamma = np.zeros((n, j), dtype=np.uint8)
-    gamma[np.arange(n), labels] = 1
-    sizes = gamma.sum(axis=0).astype(np.int64)
     return ClusterAssignment(
-        gamma, centroids, sizes, obj, n_iter, tuple(history),
+        labels, centroids, obj, n_iter, tuple(history),
         sinkhorn_calls=calls,
         sinkhorn_iterations=iterations,
         sinkhorn_unconverged=unconverged,
@@ -377,13 +374,6 @@ class TestWassersteinKmeans:
             result = wasserstein_kmeans(cloud, j, seed=trial)
             assert np.max(np.abs(result.sizes - n / j)) <= 1.0
 
-    def test_gamma_is_one_hot_and_consistent(self):
-        cloud = sample_shape("composite", 90, 0)
-        result = wasserstein_kmeans(cloud, 5, seed=3)
-        assert result.gamma.shape == (90, 5)
-        np.testing.assert_array_equal(result.gamma.sum(axis=1), np.ones(90, dtype=np.uint8))
-        np.testing.assert_array_equal(result.gamma.sum(axis=0), result.sizes)
-
     def test_centroids_are_cluster_means(self):
         # Oracle: recompute means from the returned labels.
         cloud = sample_shape("torus", 80, 2)
@@ -407,7 +397,7 @@ class TestWassersteinKmeans:
         cloud = sample_shape("box", 70, 5)
         a = wasserstein_kmeans(cloud, 7, seed=11)
         b = wasserstein_kmeans(cloud, 7, seed=11)
-        np.testing.assert_array_equal(a.gamma, b.gamma)
+        np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
     def test_two_separated_blobs_split_cleanly(self):
@@ -451,61 +441,40 @@ class TestWassersteinKmeans:
             wasserstein_kmeans(cloud, 0, seed=0)
 
     def test_assignment_type_validates(self):
-        gamma = np.array([[1, 0], [1, 0], [1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="deviate"):
-            ClusterAssignment(
-                gamma, np.zeros((2, 3)), np.array([3, 0]), 0.0, 1, (0.0,)
-            )
-        bad = gamma.copy()
-        bad[0] = [1, 1]
-        with pytest.raises(ValueError, match="exactly one"):
-            ClusterAssignment(bad, np.zeros((2, 3)), np.array([3, 1]), 0.0, 1, (0.0,))
+            ClusterAssignment(np.zeros(3, dtype=int), np.zeros((2, 3)), 0.0, 1, (0.0,))
         # Within one of N/J, but not a floor/ceiling split: 64 points in two
         # clusters must be 32 and 32.
-        uneven = np.zeros((64, 2), dtype=np.uint8)
-        uneven[:31, 0] = 1
-        uneven[31:, 1] = 1
+        uneven = np.repeat([0, 1], [31, 33])
         with pytest.raises(ValueError, match="deviate"):
-            ClusterAssignment(uneven, np.zeros((2, 3)), np.array([31, 33]), 0.0, 1, (0.0,))
-        even = uneven.copy()
-        even[31] = [1, 0]
-        ClusterAssignment(even, np.zeros((2, 3)), np.array([32, 32]), 0.0, 1, (0.0,))
+            ClusterAssignment(uneven, np.zeros((2, 3)), 0.0, 1, (0.0,))
+        even = np.repeat([0, 1], [32, 32])
+        ClusterAssignment(even, np.zeros((2, 3)), 0.0, 1, (0.0,))
 
     @pytest.mark.parametrize(
-        "rows, sizes, message",
+        "labels, centroids, message",
         [
-            ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 1], "exactly one"),
-            ([[0, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 1], "exactly one"),
-            # As many ones as rows, but two in one row and none in another.
-            ([[1, 1, 0], [0, 0, 0], [0, 0, 1]], [1, 1, 1], "exactly one"),
-            ([[0, 0, 0], [1, 0, 1], [0, 1, 0]], [1, 1, 1], "exactly one"),
-            ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], "binary"),
-            ([[0.5, 0.5, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], "binary"),
-            ([[np.nan, 1, 0], [0, 1, 0], [0, 0, 1]], [0, 2, 1], "binary"),
-            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 1], "column sums"),
-            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1], "column sums"),
-            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1.5, 0.5, 1], "column sums"),
+            ([[0, 1, 2]], np.zeros((3, 3)), "labels must be a vector"),
+            ([0.0, 1.0, 2.0], np.zeros((3, 3)), "labels must be a vector"),
+            ([True, False, True], np.zeros((2, 3)), "labels must be a vector"),
+            ([0, 1, 3], np.zeros((3, 3)), "labels must be a vector"),
+            ([-1, 1, 2], np.zeros((3, 3)), "labels must be a vector"),
+            ([0, 1, 2], np.zeros((0, 3)), "centroids"),
+            ([0, 1, 2], np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]]), "centroids"),
         ],
+        ids=["matrix", "float", "bool", "past-j", "negative", "no-centroids", "nan-centroid"],
     )
-    def test_assignment_rejects_malformed_gamma(self, rows, sizes, message):
-        gamma = np.array(rows, dtype=np.float64)
-        # Only a float gamma holds the non-binary entries.
-        for dtype in (np.float64,) if message == "binary" else (np.uint8, np.float64, np.bool_):
-            with pytest.raises(ValueError, match=message):
-                ClusterAssignment(
-                    gamma.astype(dtype), np.zeros((3, 3)), np.array(sizes), 0.0, 1, (0.0,)
-                )
+    def test_assignment_rejects_malformed_labels(self, labels, centroids, message):
+        with pytest.raises(ValueError, match=message):
+            ClusterAssignment(np.array(labels), centroids, 0.0, 1, (0.0,))
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, np.bool_])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_assignment_stores_gamma_as_uint8(self, dtype, order):
-        labels = np.array([2, 0, 1, 1, 0, 2, 2, 0, 1])
-        gamma = np.zeros((9, 3), dtype=dtype, order=order)
-        gamma[np.arange(9), labels] = 1
-        run = ClusterAssignment(gamma, np.zeros((3, 2)), np.array([3, 3, 3]), 0.0, 1, (0.0,))
-        assert run.gamma.dtype == np.uint8 and not run.gamma.flags.writeable
-        np.testing.assert_array_equal(run.gamma.argmax(axis=1), labels)
-        np.testing.assert_array_equal(run.gamma, gamma.astype(np.uint8))
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_assignment_stores_labels_read_only(self, dtype):
+        labels = np.array([2, 0, 1, 1, 0, 2, 2, 0, 1], dtype=dtype)
+        run = ClusterAssignment(labels, np.zeros((3, 2)), 0.0, 1, (0.0,))
+        assert run.labels.dtype == np.intp and not run.labels.flags.writeable
+        np.testing.assert_array_equal(run.labels, labels)
+        np.testing.assert_array_equal(run.sizes, [3, 3, 3])
 
 
 def _oracle_clouds():
@@ -531,7 +500,7 @@ def test_lloyd_loop_matches_the_oracle(points, j):
     for seed in (0, 5):
         got = _kmeans_balanced(points, j, seed)
         want = reference_kmeans_balanced(points, j, seed)
-        np.testing.assert_array_equal(got.gamma, want.gamma)
+        np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.sizes, want.sizes)
         np.testing.assert_array_equal(got.centroids, want.centroids)
         assert got.objective == want.objective
@@ -564,7 +533,7 @@ class TestSoftAssignment:
         rng = np.random.default_rng(11)
         feats = rng.normal(size=(25, 6))
         soft = soft_assignment(feats, 4, seed=1)
-        d2 = ((feats[:, None, :] - soft.centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = ((feats[:, None, :] - soft.kmeans.centroids[None, :, :]) ** 2).sum(axis=2)
         raw = np.exp(-d2 / ogmm.clustering.TEMPERATURE)
         expected = raw / raw.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(soft.scores, expected, atol=1e-12)
@@ -583,7 +552,7 @@ class TestSoftAssignment:
 
     def test_type_validates_row_sums(self):
         with pytest.raises(ValueError, match="sum to one"):
-            SoftAssignment(np.array([[0.5, 0.4]]), np.zeros((2, 2)))
+            SoftAssignment(np.array([[0.5, 0.4]]))
 
 
 class TestKmeansSinkhornCounters:
@@ -635,7 +604,6 @@ class TestKmeansSinkhornCounters:
         soft = soft_assignment(feats, 6, seed=1)
         run = soft.kmeans
         assert self._counts(run) == self._totals(seen)
-        np.testing.assert_array_equal(run.centroids, soft.centroids)
 
     @pytest.mark.parametrize("starts", [1, 3])
     def test_register_sums_the_chosen_starts_four_runs(self, monkeypatch, starts):

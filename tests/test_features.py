@@ -191,7 +191,7 @@ class TestKnnIndices:
         np.testing.assert_array_equal(got[1], expected[1])
 
 
-class TestLocalDescriptor:
+class TestEncode:
     def test_matches_loop_oracle_through_shared_mlp(self):
         cloud = sample_shape("composite", 60, 0)
         cfg = FeatureConfig(d=16, k_neighbors=5, mlp_seed=9)
@@ -229,8 +229,6 @@ class TestLocalDescriptor:
         with pytest.raises(ValueError, match="k_neighbors"):
             encode(cloud, FeatureConfig(k_neighbors=5))
 
-
-class TestEncode:
     def test_one_neighbor_search_per_cloud(self, monkeypatch):
         calls = []
         real = features._knn_indices

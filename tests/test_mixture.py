@@ -52,9 +52,7 @@ def brute_force_moments(points, features, scores, overlap):
 def random_soft(n, l, seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.01, 1.0, size=(n, l))
-    scores = raw / raw.sum(axis=1, keepdims=True)
-    centroids = rng.normal(size=(l, 3))
-    return SoftAssignment(scores, centroids)
+    return SoftAssignment(raw / raw.sum(axis=1, keepdims=True))
 
 
 class TestEstimateGmm:
@@ -80,7 +78,7 @@ class TestEstimateGmm:
         # outer spread.
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         cloud = PointCloud(pts)
-        soft = SoftAssignment(np.ones((2, 1)), np.zeros((1, 3)))
+        soft = SoftAssignment(np.ones((2, 1)))
         gmm = estimate_gmm(cloud, pts, soft, np.ones(2))
         eps = MOMENT_EPS
         w = 2.0 / (eps + 2.0)
@@ -132,7 +130,7 @@ class TestEstimateGmm:
 
     def test_overlap_range_validated(self):
         cloud = PointCloud(np.zeros((3, 3)))
-        soft = SoftAssignment(np.ones((3, 1)), np.zeros((1, 3)))
+        soft = SoftAssignment(np.ones((3, 1)))
         with pytest.raises(ValueError, match="0, 1"):
             estimate_gmm(cloud, cloud.points, soft, np.array([0.5, 1.2, 0.0]))
         with pytest.raises(ValueError, match="shape"):
@@ -140,7 +138,7 @@ class TestEstimateGmm:
 
     def test_feature_rows_must_match_the_cloud(self):
         cloud = PointCloud(np.zeros((3, 3)))
-        soft = SoftAssignment(np.ones((3, 1)), np.zeros((1, 3)))
+        soft = SoftAssignment(np.ones((3, 1)))
         for feats in (np.zeros((2, 4)), np.zeros((4, 4)), np.zeros(3)):
             with pytest.raises(ValueError, match="features must have shape"):
                 estimate_gmm(cloud, feats, soft, np.ones(3))

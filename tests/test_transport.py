@@ -280,13 +280,13 @@ class TestSinkhornEdges:
 
     def test_plan_type_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="negative"):
-            TransportPlan(np.array([[-0.1, 0.2], [0.3, 0.4]]), True, 1, 0.0)
+            TransportPlan(np.array([[-0.1, 0.2], [0.3, 0.4]]), True, 1, 0.0, np.zeros(2))
 
     def test_plan_type_rejects_non_finite_entries(self):
         for bad in ([np.nan, 0.2], [np.inf, 0.2], [-np.inf, 0.2], [-0.1, np.nan]):
             with pytest.raises(ValueError, match="non-finite"):
-                TransportPlan(np.array([bad, [0.3, 0.4]]), True, 1, 0.0)
-        assert TransportPlan(np.zeros((0, 3)), True, 1, 0.0).matrix.shape == (0, 3)
+                TransportPlan(np.array([bad, [0.3, 0.4]]), True, 1, 0.0, np.zeros(2))
+        assert TransportPlan(np.zeros((0, 3)), True, 1, 0.0, np.zeros(3)).matrix.shape == (0, 3)
 
     def test_rectangular_shapes_supported(self):
         cost = np.random.default_rng(6).uniform(0, 1, size=(5, 3))
