@@ -14,6 +14,7 @@ from .features import FeatureConfig, SeededMlp, encode
 from .geometry import (
     DegenerateGeometryError,
     EulerAnglesDeg,
+    NeighborIndex,
     PointCloud,
     RigidTransform,
     apply_transform,

@@ -36,6 +36,10 @@ SINKHORN_TOL = 1e-4
 # objective by less than KMEANS_TOL.
 KMEANS_MAX_ITER = 50
 KMEANS_TOL = 1e-6
+# Why a Lloyd loop stopped: a step lowered the objective by less than
+# KMEANS_TOL, a step raised it and was discarded, or KMEANS_MAX_ITER steps
+# ran.
+KMEANS_STOPS = ("tolerance", "regressed", "budget")
 # The soft assignment's softmax temperature on squared feature distances.
 TEMPERATURE = 0.1
 
@@ -52,6 +56,8 @@ class ClusterAssignment:
     sinkhorn_* fields describe the assignment steps' transport solves:
     calls, their summed iterations, the calls that ended at the iteration
     budget unconverged, and the largest marginal error of any call.
+    stop_reason is one of KMEANS_STOPS; a "regressed" run made one solve
+    more than its n_iter accepted steps.
     """
 
     labels: np.ndarray
@@ -63,8 +69,11 @@ class ClusterAssignment:
     sinkhorn_iterations: int = 0
     sinkhorn_unconverged: int = 0
     sinkhorn_marginal_error_max: float = 0.0
+    stop_reason: str = "tolerance"
 
     def __post_init__(self):
+        if self.stop_reason not in KMEANS_STOPS:
+            raise ValueError(f"stop_reason must be one of {KMEANS_STOPS}, got {self.stop_reason!r}")
         c = np.asarray(self.centroids, dtype=np.float64)
         if c.ndim != 2 or not len(c) or not np.all(np.isfinite(c)):
             raise ValueError("centroids must be a finite (J, dim) matrix with J >= 1")
@@ -264,6 +273,7 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
     n_iter = 0
     calls = iterations = unconverged = 0
     error_max = 0.0
+    stop = "budget"
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
         cost = cdist(x, centroids, "sqeuclidean")
         epsilon = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
@@ -294,10 +304,12 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
             # The balanced rounding is a heuristic; if a step regresses,
             # keep the previous state so the reported history is monotone.
             n_iter -= 1
+            stop = "regressed"
             break
         best = (labels, centroids_new, obj)
         history.append(obj)
         if prev_obj - obj < KMEANS_TOL:
+            stop = "tolerance"
             break
         prev_obj = obj
         centroids = centroids_new
@@ -309,6 +321,7 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
         sinkhorn_iterations=iterations,
         sinkhorn_unconverged=unconverged,
         sinkhorn_marginal_error_max=error_max,
+        stop_reason=stop,
     )
 
 

@@ -5,7 +5,9 @@ types defined here, so validation is strict: malformed rotations or
 non-finite coordinates fail at construction time, not deep inside a solver.
 Nearest-neighbour search switches from a dense distance matrix to a k-d
 tree at NN_TREE_MIN_POINTS target points; both paths return the same
-indices and distances bit for bit.
+indices and distances bit for bit. A NeighborIndex holds a target's tree
+so repeated searches against a cloud that does not move (ICP's) build it
+once.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 ROTATION_ORTHO_TOL = 1e-9
-# Target size from which nearest_neighbors searches a k-d tree, built per
-# call, instead of a dense distance matrix: the crossover measured at N = M
-# on random normal clouds and on sample_shape("composite") clouds queried
-# by a slightly moved copy. Median us per call, dense/tree, one core of a
-# 2-vCPU x86_64 host:
+# Target size from which a NeighborIndex holds a k-d tree and
+# nearest_neighbors searches it instead of a dense distance matrix: the
+# crossover measured at N = M, with the tree built inside each call, on
+# random normal clouds and on sample_shape("composite") clouds queried by
+# a slightly moved copy. An index reused across calls (ICP's) keeps the
+# same switch; the crossover has not been re-measured for reuse. Median us
+# per call, dense/tree, one core of a 2-vCPU x86_64 host:
 #      N    64      128      192      256      320      384      512       1024
 #   random  42/119  101/186  192/281  317/385  483/512  702/643  1239/839  5395/1891
 #   shape   43/115   99/178  187/262  319/340  488/472  710/578  1176/752  5552/1823
@@ -260,12 +264,27 @@ def _dense_nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray
     return indices, d[np.arange(queries.shape[0]), indices]
 
 
-def nearest_neighbors(queries: np.ndarray, target: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+class NeighborIndex:
+    """A target cloud prepared for nearest_neighbors: its points and, from
+    NN_TREE_MIN_POINTS points on, their k-d tree (tree is None below).
+    Build one per cloud that many query blocks search."""
+
+    __slots__ = ("points", "tree")
+
+    def __init__(self, cloud: PointCloud):
+        self.points = cloud.points
+        self.tree = cKDTree(cloud.points) if len(cloud) >= NN_TREE_MIN_POINTS else None
+
+
+def nearest_neighbors(
+    queries: np.ndarray, target: PointCloud | NeighborIndex
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest target index and distance for each row of an (M, 3) query block.
 
     Ties resolve to the lowest target index, matching a plain linear scan
-    bit for bit. Targets of NN_TREE_MIN_POINTS points or more are searched
-    with a k-d tree built for the call, asking for two neighbours; a row
+    bit for bit. target is a PointCloud, indexed for this call alone, or a
+    NeighborIndex, reused as built. Targets of NN_TREE_MIN_POINTS points or
+    more are searched with their k-d tree, asking for two neighbours; a row
     whose two distances are equal is rescanned densely so the tie still
     goes to the lowest index. cKDTree's distances equal cdist's bit for
     bit, so both paths return the same arrays. Non-finite queries raise
@@ -276,13 +295,14 @@ def nearest_neighbors(queries: np.ndarray, target: PointCloud) -> tuple[np.ndarr
         raise ValueError(f"queries must have shape (M, 3), got {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("queries contain non-finite values")
-    if len(target) < NN_TREE_MIN_POINTS:
-        return _dense_nearest(q, target.points)
-    dist, idx = cKDTree(target.points).query(q, k=2)
+    index = target if isinstance(target, NeighborIndex) else NeighborIndex(target)
+    if index.tree is None:
+        return _dense_nearest(q, index.points)
+    dist, idx = index.tree.query(q, k=2)
     indices, dists = idx[:, 0], dist[:, 0]
     tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
     if tied.size:
-        indices[tied], dists[tied] = _dense_nearest(q[tied], target.points)
+        indices[tied], dists[tied] = _dense_nearest(q[tied], index.points)
     return indices, dists
 
 

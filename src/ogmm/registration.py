@@ -23,10 +23,11 @@ from .attention import (
     clustered_self_attention,
     overlap_scores,
 )
-from .clustering import soft_assignment, wasserstein_kmeans
+from .clustering import KMEANS_STOPS, soft_assignment, wasserstein_kmeans
 from .features import FeatureConfig, encode
 from .geometry import (
     DegenerateGeometryError,
+    NeighborIndex,
     PointCloud,
     RigidTransform,
     as_integer,
@@ -245,6 +246,9 @@ def _register_once(
     diagnostics["kmeans_sinkhorn_marginal_error_max"] = max(
         r.sinkhorn_marginal_error_max for r in kmeans_runs
     )
+    diagnostics["kmeans_stop_reasons"] = {
+        reason: sum(r.stop_reason == reason for r in kmeans_runs) for reason in KMEANS_STOPS
+    }
     diagnostics["sinkhorn_iterations"] = int(plan.iterations)
     diagnostics["sinkhorn_converged"] = bool(plan.converged)
     diagnostics["sinkhorn_marginal_error"] = float(plan.marginal_error)
@@ -339,12 +343,12 @@ def register(
     return replace(result, diagnostics=diagnostics)
 
 
-def _paired_kabsch(a: np.ndarray, b: np.ndarray) -> RigidTransform:
-    """Least-squares rigid motion for row-matched point sets."""
-    ca = a.mean(axis=0)
+def _paired_kabsch(centred: np.ndarray, centroid: np.ndarray, b: np.ndarray) -> RigidTransform:
+    """Least-squares rigid motion for row-matched point sets, the first
+    given as its centroid and its rows minus that centroid."""
     cb = b.mean(axis=0)
-    rotation, _ = kabsch_rotation((a - ca).T @ (b - cb))
-    return RigidTransform(rotation, cb - rotation @ ca)
+    rotation, _ = kabsch_rotation(centred.T @ (b - cb))
+    return RigidTransform(rotation, cb - rotation @ centroid)
 
 
 def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: bool = False):
@@ -358,15 +362,20 @@ def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: boo
     it is rejected and iteration stops. At most ICP_MAX_ITER iterations
     run, and a step that lowers the objective by less than ICP_TOL ends
     the loop. The diagnostics' `converged` is False only when the
-    ICP_MAX_ITER budget ran out first.
+    ICP_MAX_ITER budget ran out first. Neither cloud moves, so the target
+    is indexed and the source centred once per call.
     """
+    index = NeighborIndex(target)
+    a = source.points
+    ca = a.mean(axis=0)
+    centred = a - ca
     transform = RigidTransform.identity()
-    idx, dists = nearest_neighbors(source.points, target)
+    idx, dists = nearest_neighbors(a, index)
     history = [float(dists.mean())]
     converged = False
     for _ in range(ICP_MAX_ITER):
-        candidate = _paired_kabsch(source.points, target.points[idx])
-        idx, dists = nearest_neighbors(transform_points(candidate, source.points), target)
+        candidate = _paired_kabsch(centred, ca, target.points[idx])
+        idx, dists = nearest_neighbors(transform_points(candidate, a), index)
         objective = float(dists.mean())
         if objective > history[-1] - ICP_TOL:
             if objective <= history[-1]:

@@ -31,6 +31,23 @@ def criterion():
     return check
 
 
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Target sizes of the k-d trees nearest_neighbors and NeighborIndex
+    build, in order."""
+    from ogmm import geometry
+
+    sizes = []
+    real = geometry.cKDTree
+
+    def recording(points, *args, **kwargs):
+        sizes.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", recording)
+    return sizes
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

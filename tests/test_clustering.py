@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist
 import ogmm.clustering
 from ogmm.clustering import (
     KMEANS_MAX_ITER,
+    KMEANS_STOPS,
     KMEANS_TOL,
     SINKHORN_EPSILON_SCALE,
     SINKHORN_MAX_ITER,
@@ -468,6 +469,10 @@ class TestWassersteinKmeans:
         with pytest.raises(ValueError, match=message):
             ClusterAssignment(np.array(labels), centroids, 0.0, 1, (0.0,))
 
+    def test_assignment_rejects_unknown_stop_reason(self):
+        with pytest.raises(ValueError, match="stop_reason"):
+            ClusterAssignment(np.arange(3), np.zeros((3, 3)), 0.0, 1, (0.0,), stop_reason="done")
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_assignment_stores_labels_read_only(self, dtype):
         labels = np.array([2, 0, 1, 1, 0, 2, 2, 0, 1], dtype=dtype)
@@ -517,6 +522,64 @@ def test_lloyd_loop_matches_the_oracle(points, j):
             want.sinkhorn_unconverged,
             want.sinkhorn_marginal_error_max,
         )
+
+
+def _stop_from_bookkeeping(run) -> str:
+    """Why a run stopped, read off its counts: a discarded step is one solve
+    past the accepted steps, and an accepted last step that still lowered
+    the objective by KMEANS_TOL or more means the budget ran out."""
+    if run.sinkhorn_calls == run.n_iter + 1:
+        return "regressed"
+    drop = run.history[-2] - run.history[-1] if len(run.history) > 1 else math.inf
+    return "tolerance" if drop < KMEANS_TOL else "budget"
+
+
+def test_stop_reason_agrees_with_the_run_bookkeeping(monkeypatch):
+    """Each run names the reason its counts imply; the oracle clouds end
+    both ways, and a shortened budget ends runs on "budget"."""
+    reasons = set()
+    for _, points, j in _oracle_clouds():
+        for seed in (0, 5):
+            run = _kmeans_balanced(points, j, seed)
+            assert run.stop_reason == _stop_from_bookkeeping(run)
+            reasons.add(run.stop_reason)
+    assert reasons == {"tolerance", "regressed"}
+    monkeypatch.setattr(ogmm.clustering, "KMEANS_MAX_ITER", 2)
+    run = _kmeans_balanced(sample_shape("composite", 512, seed=3).points, 16, 0)
+    assert (run.stop_reason, run.n_iter, run.sinkhorn_calls) == ("budget", 2, 2)
+
+
+def test_register_counts_the_four_runs_stop_reasons(monkeypatch):
+    """On a criterion-1 pair both geometric runs end on a discarded step,
+    and register's diagnostics count the four runs' reasons."""
+    from ogmm import registration
+    from ogmm.geometry import apply_transform, random_transform
+
+    runs = {"geometric": [], "soft": []}
+    real_kmeans, real_soft = registration.wasserstein_kmeans, registration.soft_assignment
+
+    def kmeans(*args, **kwargs):
+        runs["geometric"].append(real_kmeans(*args, **kwargs))
+        return runs["geometric"][-1]
+
+    def soft(*args, **kwargs):
+        result = real_soft(*args, **kwargs)
+        runs["soft"].append(result.kmeans)
+        return result
+
+    monkeypatch.setattr(registration, "wasserstein_kmeans", kmeans)
+    monkeypatch.setattr(registration, "soft_assignment", soft)
+    cloud = sample_shape("composite", 512, seed=0)
+    config = registration.RegisterConfig.desk(overlap_mode="ones", starts=1)
+    diagnostics = registration.register(
+        cloud, apply_transform(random_transform(0), cloud), config
+    ).diagnostics
+    assert [run.stop_reason for run in runs["geometric"]] == ["regressed", "regressed"]
+    four = runs["geometric"] + runs["soft"]
+    assert len(four) == 4
+    assert diagnostics["kmeans_stop_reasons"] == {
+        reason: sum(run.stop_reason == reason for run in four) for reason in KMEANS_STOPS
+    }
 
 
 class TestSoftAssignment:

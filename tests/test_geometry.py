@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ogmm import geometry
 from ogmm.geometry import (
     NN_TREE_MIN_POINTS,
     DegenerateGeometryError,
     EulerAnglesDeg,
+    NeighborIndex,
     PointCloud,
     RigidTransform,
     apply_transform,
@@ -38,25 +38,15 @@ def reference_nearest_neighbors(queries: np.ndarray, target: PointCloud):
     return indices, d[np.arange(q.shape[0]), indices]
 
 
-@pytest.fixture
-def tree_builds(monkeypatch):
-    """Target sizes of the k-d trees nearest_neighbors builds."""
-    sizes = []
-    real = geometry.cKDTree
-
-    def recording(points, *args, **kwargs):
-        sizes.append(len(points))
-        return real(points, *args, **kwargs)
-
-    monkeypatch.setattr(geometry, "cKDTree", recording)
-    return sizes
-
-
 def assert_matches_dense_scan(queries, target):
-    idx, dist = nearest_neighbors(queries, target)
+    """Both forms of the target, the cloud and a NeighborIndex built for
+    the check, give the dense scan's arrays; each builds its own tree from
+    NN_TREE_MIN_POINTS points on."""
     ref_idx, ref_dist = reference_nearest_neighbors(queries, target)
-    np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_array_equal(dist, ref_dist)
+    for form in (target, NeighborIndex(target)):
+        idx, dist = nearest_neighbors(queries, form)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(dist, ref_dist)
 
 
 def shuffled_lattice(seed: int) -> np.ndarray:
@@ -319,8 +309,8 @@ class TestNearestNeighbor:
 
 class TestNearestNeighborTree:
     """The k-d tree path must return the dense scan's indices and distances
-    bit for bit, ties included; below NN_TREE_MIN_POINTS the dense scan
-    runs itself."""
+    bit for bit, ties included, whether the target comes as a cloud or as
+    a NeighborIndex; below NN_TREE_MIN_POINTS the dense scan runs itself."""
 
     @pytest.mark.parametrize(
         "n", [NN_TREE_MIN_POINTS - 1, NN_TREE_MIN_POINTS, 4 * NN_TREE_MIN_POINTS]
@@ -334,7 +324,7 @@ class TestNearestNeighborTree:
             # ICP's queries: the cloud itself, slightly moved.
             motion = random_transform(n, rot_max_deg=5.0, trans_max=0.01 * scale)
             assert_matches_dense_scan(transform_points(motion, target.points), target)
-        assert tree_builds == ([] if n < NN_TREE_MIN_POINTS else [n] * 6)
+        assert tree_builds == ([] if n < NN_TREE_MIN_POINTS else [n] * 12)
 
     @pytest.mark.parametrize("offset", [(0.5, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.5, 0.5)])
     def test_lattice_queries_at_half_offsets_all_tie(self, tree_builds, offset):
@@ -347,7 +337,7 @@ class TestNearestNeighborTree:
         tied = np.sum(pairwise_distances(queries, points) == dist[:, None], axis=1)
         assert np.all(tied == 2 ** int(np.count_nonzero(offset)))
         assert_matches_dense_scan(queries, target)
-        assert tree_builds == [512, 512]
+        assert tree_builds == [512] * 3
 
     def test_duplicated_target_points(self, tree_builds):
         rng = np.random.default_rng(5)
@@ -357,7 +347,7 @@ class TestNearestNeighborTree:
         # Queries on the points themselves tie at distance 0 between copies.
         assert_matches_dense_scan(points, target)
         assert_matches_dense_scan(base + 0.01 * rng.normal(size=base.shape), target)
-        assert tree_builds == [len(points)] * 2
+        assert tree_builds == [len(points)] * 4
 
     def test_queries_far_outside_the_cloud(self, tree_builds):
         rng = np.random.default_rng(6)
@@ -366,7 +356,7 @@ class TestNearestNeighborTree:
         for distance in (1e2, 1e4, 1e6):
             queries = distance * directions / np.linalg.norm(directions, axis=1, keepdims=True)
             assert_matches_dense_scan(queries, target)
-        assert len(tree_builds) == 3
+        assert len(tree_builds) == 6
 
     @pytest.mark.parametrize("n", [NN_TREE_MIN_POINTS - 1, NN_TREE_MIN_POINTS])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -374,8 +364,9 @@ class TestNearestNeighborTree:
         target = PointCloud(np.random.default_rng(7).normal(size=(n, 3)))
         queries = np.zeros((4, 3))
         queries[2, 1] = bad
-        with pytest.raises(ValueError, match="queries contain non-finite values"):
-            nearest_neighbors(queries, target)
+        for form in (target, NeighborIndex(target)):
+            with pytest.raises(ValueError, match="queries contain non-finite values"):
+                nearest_neighbors(queries, form)
 
 
 class TestFarthestPointSample:

@@ -13,11 +13,15 @@ import ogmm
 from ogmm.bench import BenchConfig
 from ogmm.clustering import SINKHORN_TOL
 from ogmm.geometry import (
+    NN_TREE_MIN_POINTS,
     DegenerateGeometryError,
     EulerAnglesDeg,
+    PointCloud,
     RigidTransform,
     apply_transform,
     compose,
+    kabsch_rotation,
+    nearest_neighbors,
     random_transform,
     transform_points,
 )
@@ -25,6 +29,7 @@ from ogmm.io import PairSpec, make_pair, sample_shape
 from ogmm.mixture import weighted_svd
 from ogmm import registration
 from ogmm.registration import (
+    ICP_TOL,
     RegisterConfig,
     _paired_kabsch,
     icp_baseline,
@@ -389,7 +394,97 @@ def test_kmeans_sinkhorn_work_stays_cut(pairs, kind):
         assert iterations <= 0.65 * old
 
 
+def reference_paired_kabsch(a: np.ndarray, b: np.ndarray) -> RigidTransform:
+    """`_paired_kabsch` as it was before ICP centred its source once per
+    call, kept verbatim for `reference_icp`."""
+    ca = a.mean(axis=0)
+    cb = b.mean(axis=0)
+    rotation, _ = kabsch_rotation((a - ca).T @ (b - cb))
+    return RigidTransform(rotation, cb - rotation @ ca)
+
+
+def reference_icp(source: PointCloud, target: PointCloud):
+    """`icp_baseline` as it was before it indexed its target and centred its
+    source once per call, kept verbatim (reading the budget off the module,
+    so a test can shorten it) as the oracle for its transform and
+    diagnostics: every search indexes the target cloud afresh."""
+    transform = RigidTransform.identity()
+    idx, dists = nearest_neighbors(source.points, target)
+    history = [float(dists.mean())]
+    converged = False
+    for _ in range(registration.ICP_MAX_ITER):
+        candidate = reference_paired_kabsch(source.points, target.points[idx])
+        idx, dists = nearest_neighbors(transform_points(candidate, source.points), target)
+        objective = float(dists.mean())
+        if objective > history[-1] - ICP_TOL:
+            if objective <= history[-1]:
+                transform, history = candidate, history + [objective]
+            converged = True
+            break
+        transform = candidate
+        history.append(objective)
+    return transform, {
+        "objective_history": history,
+        "iterations": len(history) - 1,
+        "converged": converged,
+    }
+
+
+def _lattice_icp_pair():
+    """The 8x8x8 integer lattice in two seeded orders, the source moved by
+    half a spacing along x: most first-search rows tie between two target
+    points and go to the dense rescan."""
+    grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    source = grid[np.random.default_rng(3).permutation(512)] + np.array([0.5, 0.0, 0.0])
+    return PointCloud(source), PointCloud(grid[np.random.default_rng(2).permutation(512)])
+
+
+def _icp_oracle_pairs(kind):
+    """(source, target) pairs per kind; "tree" and "lattice" targets take
+    the k-d tree path, "desk" ones the dense scan."""
+    if kind == "tree":
+        pairs = [(source, target) for source, target, _ in _identical_pairs(3)]
+        partial = make_pair(PairSpec(n_points=512, overlap_keep_fraction=0.7, seed=4))
+        return pairs + [(partial.source, partial.target)]
+    if kind == "desk":
+        return [(source, target) for source, target, _ in _desk_pairs(4)]
+    if kind == "lattice":
+        return [_lattice_icp_pair()]
+    pair = make_pair(PairSpec(n_points=256, seed=13))
+    return [(pair.source, pair.target)]
+
+
 class TestIcpBaseline:
+    @pytest.mark.parametrize("budget", [None, 1], ids=["full-budget", "one-iteration"])
+    @pytest.mark.parametrize("kind", ["tree", "desk", "lattice", "rejected-step"])
+    def test_matches_the_reference_bit_for_bit(self, monkeypatch, kind, budget):
+        """One index per call and one centring of the source change how ICP
+        computes, not what: transform and diagnostics equal the per-search
+        loop's exactly, on both search paths, through tied rows, on a run
+        that ends on a rejected step, and when the budget runs out."""
+        if budget is not None:
+            monkeypatch.setattr(registration, "ICP_MAX_ITER", budget)
+        for source, target in _icp_oracle_pairs(kind):
+            on_tree = len(target) >= NN_TREE_MIN_POINTS
+            assert on_tree == (kind in ("tree", "lattice"))
+            transform, diagnostics = icp_baseline(source, target, return_diagnostics=True)
+            want, want_diagnostics = reference_icp(source, target)
+            np.testing.assert_array_equal(transform.rotation, want.rotation)
+            np.testing.assert_array_equal(transform.translation, want.translation)
+            assert diagnostics == want_diagnostics
+            if budget is not None:
+                assert diagnostics["iterations"] <= 1
+
+    @pytest.mark.parametrize("n", [NN_TREE_MIN_POINTS - 1, 512])
+    def test_builds_one_tree_per_call(self, tree_builds, n):
+        """The target never moves, so its k-d tree is built once for all of
+        a call's searches, and not at all below NN_TREE_MIN_POINTS."""
+        cloud = sample_shape("composite", n, seed=4)
+        target = apply_transform(random_transform(4), cloud)
+        _, diagnostics = icp_baseline(cloud, target, return_diagnostics=True)
+        assert diagnostics["iterations"] >= 2
+        assert tree_builds == ([] if n < NN_TREE_MIN_POINTS else [n])
+
     def test_identity_on_identical_clouds(self):
         cloud = sample_shape("composite", 96, seed=1)
         transform, diag = icp_baseline(cloud, cloud, return_diagnostics=True)
@@ -430,7 +525,7 @@ class TestIcpBaseline:
         a = rng.normal(size=(n, 3))
         motion = random_transform(5, rot_max_deg=120.0, trans_max=1.0)
         b = transform_points(motion, a) + 0.01 * rng.normal(size=(n, 3))
-        paired = _paired_kabsch(a, b)
+        paired = _paired_kabsch(a - a.mean(axis=0), a.mean(axis=0), b)
         coupled = weighted_svd(a, b, np.eye(n) / n)
         np.testing.assert_allclose(paired.rotation, coupled.rotation, rtol=0, atol=1e-12)
         np.testing.assert_allclose(paired.translation, coupled.translation, rtol=0, atol=1e-12)

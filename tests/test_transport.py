@@ -838,7 +838,7 @@ class TestBitIdenticalToTheReference:
     def test_singular_system_raises_as_np_linalg_solve_does(self, monkeypatch):
         # Column 0 receives no mass, so with no ridge its row and column of
         # the Newton system are exactly zero; the direct LAPACK call must
-        # fall back to np.linalg.solve and raise its LinAlgError.
+        # raise the LinAlgError np.linalg.solve raises on that system.
         monkeypatch.setattr(transport, "RIDGE", 0.0)
         rng = np.random.default_rng(70)
         n, m = 20, 5
