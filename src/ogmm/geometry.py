@@ -7,7 +7,8 @@ Nearest-neighbour search switches from a dense distance matrix to a k-d
 tree at NN_TREE_MIN_POINTS target points; both paths return the same
 indices and distances bit for bit. A NeighborIndex holds a target's tree
 so repeated searches against a cloud that does not move (ICP's) build it
-once.
+once, and remembers each row's last match so that the next block sends to
+the tree only the rows whose match can have changed.
 """
 
 from __future__ import annotations
@@ -24,13 +25,36 @@ ROTATION_ORTHO_TOL = 1e-9
 # nearest_neighbors searches it instead of a dense distance matrix: the
 # crossover measured at N = M, with the tree built inside each call, on
 # random normal clouds and on sample_shape("composite") clouds queried by
-# a slightly moved copy. An index reused across calls (ICP's) keeps the
-# same switch; the crossover has not been re-measured for reuse. Median us
-# per call, dense/tree, one core of a 2-vCPU x86_64 host:
+# a slightly moved copy. Median us per call, dense/tree, one core of a
+# 2-vCPU x86_64 host:
 #      N    64      128      192      256      320      384      512       1024
 #   random  42/119  101/186  192/281  317/385  483/512  702/643  1239/839  5395/1891
 #   shape   43/115   99/178  187/262  319/340  488/472  710/578  1176/752  5552/1823
+# An index reused across calls (ICP's) pays for its tree sooner. Median us
+# per search over ICP's own query sequences, dense / reused tree (built
+# once, no memory) / remembering tree (the NeighborIndex below), on 12
+# composite pairs of N points and on the 72 first desk-workload pairs at
+# seed 5 (their targets are the desk's 77, 128 and 180 points), on one
+# core of a later, faster 2-vCPU x86_64 host:
+#      N        77        128       180       256         320          384          512
+#   shape   18/35/33  37/52/45  65/73/59  122/104/81  184/134/103  260/161/121  469/215/162
+#   desk    18/35/38  36/51/48  65/72/63
+# The remembering tree wins from about 180 points on composite clouds and
+# breaks even there on desk pairs, so the desk targets lose nothing by
+# staying dense. The one switch stays at the per-call crossover: a second,
+# lower one for reused indexes would pay only on ICP targets of 180-319
+# points, and the searches that index a cloud for one call (restart
+# selection, ccd, the overlap labels) need this one.
 NN_TREE_MIN_POINTS = 320
+# A remembered match is kept when (d + m)(1 + _KEEP_SLACK) < s(1 - _KEEP_SLACK)
+# (nearest_neighbors). Every distance in that test, and every fresh one it
+# stands for, is computed within a few units of 2**-53 (1.1e-16) of its
+# exact value, plus at most 1e-161 where a square underflows, so the slack
+# leaves over a thousand times the room rounding can take. A row whose s
+# lies outside _KEEP_RANGE is always searched, which keeps s far from
+# where squares underflow or overflow.
+_KEEP_SLACK = 1e-12
+_KEEP_RANGE = (1e-100, 1e100)
 _DEG = 180.0 / np.pi
 
 
@@ -264,16 +288,57 @@ def _dense_nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray
     return indices, d[np.arange(queries.shape[0]), indices]
 
 
+def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between matching rows of two (M, 3) arrays, the squares
+    summed in cdist's and cKDTree's order, so equal to theirs bit for bit."""
+    diff = a - b
+    diff *= diff
+    total = diff[:, 0] + diff[:, 1]
+    total += diff[:, 2]
+    return np.sqrt(total, out=total)
+
+
+def _tree_nearest(queries: np.ndarray, index: "NeighborIndex"):
+    """Nearest index and distance per row from the index's tree, plus the
+    second-nearest distance the two-neighbour query returns with them."""
+    dist, idx = index.tree.query(queries, k=2)
+    indices, dists = idx[:, 0], dist[:, 0]
+    tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
+    if tied.size:
+        indices[tied], dists[tied] = _dense_nearest(queries[tied], index.points)
+    return indices, dists, dist[:, 1]
+
+
+def _keep_reach(second: np.ndarray) -> np.ndarray:
+    """The slackened bound a remembered row's moved distance must stay
+    under: the second-nearest distance shrunk by _KEEP_SLACK, or 0 (which
+    nothing stays under) outside _KEEP_RANGE."""
+    low, high = _KEEP_RANGE
+    return np.where((second >= low) & (second <= high), second * (1.0 - _KEEP_SLACK), 0.0)
+
+
 class NeighborIndex:
     """A target cloud prepared for nearest_neighbors: its points and, from
     NN_TREE_MIN_POINTS points on, their k-d tree (tree is None below).
-    Build one per cloud that many query blocks search."""
+    Build one per cloud that many query blocks search.
 
-    __slots__ = ("points", "tree")
+    A tree-backed index also remembers, for each row of the last block it
+    searched, where the row was when the tree last searched it, its match,
+    and the bound on every other target point that search gave; the next
+    block of as many rows re-searches only the rows whose match that bound
+    cannot vouch for. Results never depend on this history: every block
+    gets exactly the arrays a fresh index would give. The memory makes an
+    index unsafe to share between threads.
+    """
+
+    __slots__ = ("points", "tree", "_last")
 
     def __init__(self, cloud: PointCloud):
         self.points = cloud.points
         self.tree = cKDTree(cloud.points) if len(cloud) >= NN_TREE_MIN_POINTS else None
+        # (positions, matches, reach) of the last block's rows, as of the
+        # tree search that last covered each row.
+        self._last = None
 
 
 def nearest_neighbors(
@@ -289,6 +354,14 @@ def nearest_neighbors(
     goes to the lowest index. cKDTree's distances equal cdist's bit for
     bit, so both paths return the same arrays. Non-finite queries raise
     ValueError on either path.
+
+    When a tree-backed index searched a block of as many rows before, a
+    row keeps its remembered match without a tree search if its distance
+    to that match plus the distance it moved since the search stays below
+    that search's second-nearest distance, each term slackened by
+    _KEEP_SLACK: no other target point can then be as near. The result is
+    the one a fresh index gives, whatever the index's history; see
+    NeighborIndex for the memory and its thread-safety.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 3:
@@ -298,11 +371,25 @@ def nearest_neighbors(
     index = target if isinstance(target, NeighborIndex) else NeighborIndex(target)
     if index.tree is None:
         return _dense_nearest(q, index.points)
-    dist, idx = index.tree.query(q, k=2)
-    indices, dists = idx[:, 0], dist[:, 0]
-    tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
-    if tied.size:
-        indices[tied], dists[tied] = _dense_nearest(q[tied], index.points)
+    if index._last is None or len(index._last[0]) != len(q):
+        indices, dists, second = _tree_nearest(q, index)
+        index._last = (q.copy(), indices.copy(), _keep_reach(second))
+        return indices, dists
+    positions, matches, reach = index._last
+    dists = _row_distances(q, index.points.take(matches, axis=0))
+    # Distance to the remembered match plus the distance moved since the
+    # row's last tree search, against that search's second-nearest bound.
+    span = _row_distances(q, positions)
+    span += dists
+    span *= 1.0 + _KEEP_SLACK
+    stale = np.flatnonzero(span >= reach)
+    indices = matches.copy()
+    if stale.size:
+        moved = q[stale]
+        indices[stale], dists[stale], second = _tree_nearest(moved, index)
+        positions[stale] = moved
+        matches[stale] = indices[stale]
+        reach[stale] = _keep_reach(second)
     return indices, dists
 
 

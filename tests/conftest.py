@@ -48,6 +48,23 @@ def tree_builds(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def tree_query_rows(monkeypatch):
+    """Row counts of the query blocks sent to the k-d trees that
+    nearest_neighbors and NeighborIndex build, in order."""
+    from ogmm import geometry
+
+    rows = []
+
+    class Counting(geometry.cKDTree):
+        def query(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", Counting)
+    return rows
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

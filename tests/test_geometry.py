@@ -49,6 +49,14 @@ def assert_matches_dense_scan(queries, target):
         np.testing.assert_array_equal(dist, ref_dist)
 
 
+def assert_history_matches(queries, index, target):
+    """index, whatever it searched before, gives the dense scan's arrays."""
+    ref_idx, ref_dist = reference_nearest_neighbors(queries, target)
+    idx, dist = nearest_neighbors(queries, index)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(dist, ref_dist)
+
+
 def shuffled_lattice(seed: int) -> np.ndarray:
     """The 512 points of the 8x8x8 integer lattice in a seeded order, so
     index order does not follow the geometry."""
@@ -307,10 +315,51 @@ class TestNearestNeighbor:
         assert np.all(np.diag(d) == 0.0)
 
 
+def history_start(kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Target points of a tree-sized cloud and a first query block on it:
+    a normal cloud queried near its points, the shuffled lattice queried
+    at half offsets (every row ties), or a cloud of duplicated points
+    queried on the points themselves (ties at distance 0)."""
+    if kind == "random":
+        points = rng.normal(size=(2 * NN_TREE_MIN_POINTS, 3))
+        return points, points[:300] + 0.05 * rng.normal(size=(300, 3))
+    if kind == "lattice":
+        points = shuffled_lattice(2)
+        return points, points[np.all(points < 7.0, axis=1)] + np.array([0.5, 0.5, 0.0])
+    base = rng.normal(size=(NN_TREE_MIN_POINTS // 2 + 1, 3))
+    points = np.concatenate([base, base, base[:7]])[rng.permutation(2 * len(base) + 7)]
+    return points, points[:300]
+
+
+def query_history(points: np.ndarray, start: np.ndarray, rng) -> list:
+    """The blocks one index meets, in order: the start block moved three
+    times each by 1e-3, 1e-1 and 1 of the point spacing, an unrelated block
+    of the same length, one of another length, a block far outside the
+    cloud, a return to the last moved block and then to the start block."""
+    spacing = (np.prod(np.ptp(points, axis=0)) / len(points)) ** (1.0 / 3.0)
+    spread = points.std(axis=0)
+    blocks, q = [start], start
+    for step in (1e-3, 1e-1, 1.0):
+        for _ in range(3):
+            q = q + step * spacing * rng.normal(size=q.shape)
+            blocks.append(q)
+    directions = rng.normal(size=q.shape)
+    far = 1e4 * np.ptp(points) * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    blocks += [
+        spread * rng.normal(size=q.shape),
+        spread * rng.normal(size=(len(q) + 1, 3)),
+        far,
+        q,
+        start,
+    ]
+    return blocks
+
+
 class TestNearestNeighborTree:
     """The k-d tree path must return the dense scan's indices and distances
     bit for bit, ties included, whether the target comes as a cloud or as
-    a NeighborIndex; below NN_TREE_MIN_POINTS the dense scan runs itself."""
+    a NeighborIndex, whatever blocks that index searched before; below
+    NN_TREE_MIN_POINTS the dense scan runs itself."""
 
     @pytest.mark.parametrize(
         "n", [NN_TREE_MIN_POINTS - 1, NN_TREE_MIN_POINTS, 4 * NN_TREE_MIN_POINTS]
@@ -367,6 +416,40 @@ class TestNearestNeighborTree:
         for form in (target, NeighborIndex(target)):
             with pytest.raises(ValueError, match="queries contain non-finite values"):
                 nearest_neighbors(queries, form)
+
+    @pytest.mark.parametrize("scale", [1e-120, 1e-3, 1.0, 1e3, 1e120])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicated"])
+    def test_remembering_index_matches_a_fresh_search_over_a_history(
+        self, tree_query_rows, kind, scale
+    ):
+        """One index searches a whole history of blocks, moving, unrelated,
+        resized, far away and back onto ties, and a non-finite block that
+        raises; every valid block gets the dense scan's arrays, while rows
+        with a second-nearest bound keep their match without a tree search,
+        except at scales where squared distances leave the normal range."""
+        rng = np.random.default_rng(8)
+        points, start = history_start(kind, rng)
+        target = PointCloud(scale * points)
+        index = NeighborIndex(target)
+        blocks = [scale * q for q in query_history(points, start, rng)]
+        bad = blocks[-1].copy()
+        bad[3, 1] = np.nan
+        moving = blocks[0].copy()
+        assert_history_matches(moving, index, target)
+        moving[...] = blocks[1]  # a caller may move its block in place
+        for queries in [moving] + blocks[2:-1]:
+            assert_history_matches(queries, index, target)
+        with pytest.raises(ValueError, match="queries contain non-finite values"):
+            nearest_neighbors(bad, index)
+        assert_history_matches(blocks[-1], index, target)
+        sent, offered = sum(tree_query_rows), sum(len(q) for q in blocks)
+        if kind == "duplicated" or scale in (1e-120, 1e120):
+            # Every nearest point has a copy at the same distance, or the
+            # bound lies outside the range its rounding argument covers, so
+            # it vouches for no match.
+            assert sent == offered
+        else:
+            assert sent < offered
 
 
 class TestFarthestPointSample:

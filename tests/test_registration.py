@@ -439,13 +439,22 @@ def _lattice_icp_pair():
     return PointCloud(source), PointCloud(grid[np.random.default_rng(2).permutation(512)])
 
 
+def _far_start_pair():
+    """Criterion 1's first pair with the source translated by five extents
+    of the cloud: the source crosses to the target over the first searches,
+    so every row is searched there, and settles by the last, when almost
+    every row keeps its remembered match."""
+    source, target, _ = next(_identical_pairs(1))
+    return PointCloud(source.points + 5.0 * np.ptp(source.points, axis=0)), target
+
+
 def _icp_oracle_pairs(kind):
     """(source, target) pairs per kind; "tree" and "lattice" targets take
     the k-d tree path, "desk" ones the dense scan."""
     if kind == "tree":
         pairs = [(source, target) for source, target, _ in _identical_pairs(3)]
         partial = make_pair(PairSpec(n_points=512, overlap_keep_fraction=0.7, seed=4))
-        return pairs + [(partial.source, partial.target)]
+        return pairs + [(partial.source, partial.target), _far_start_pair()]
     if kind == "desk":
         return [(source, target) for source, target, _ in _desk_pairs(4)]
     if kind == "lattice":
@@ -484,6 +493,31 @@ class TestIcpBaseline:
         _, diagnostics = icp_baseline(cloud, target, return_diagnostics=True)
         assert diagnostics["iterations"] >= 2
         assert tree_builds == ([] if n < NN_TREE_MIN_POINTS else [n])
+
+    def test_searches_only_rows_whose_match_can_change(self, monkeypatch, tree_query_rows):
+        """On criterion 1's first pair, rows whose remembered match the
+        second-nearest bound vouches for skip the tree: one ICP call sends it
+        fewer than three quarters of the rows its searches get."""
+        searches = []
+        real = registration.nearest_neighbors
+
+        def counting(queries, target):
+            searches.append(len(queries))
+            return real(queries, target)
+
+        monkeypatch.setattr(registration, "nearest_neighbors", counting)
+        source, target, _ = next(_identical_pairs(1))
+        icp_baseline(source, target)
+        assert tree_query_rows[0] == len(source)
+        assert sum(tree_query_rows) < 0.75 * sum(searches)
+
+    def test_far_start_searches_every_row_early_and_few_late(self, tree_query_rows):
+        """The far-start oracle pair exercises both sides of the shortcut."""
+        source, target = _far_start_pair()
+        _, diagnostics = icp_baseline(source, target, return_diagnostics=True)
+        assert diagnostics["converged"]
+        assert tree_query_rows[:2] == [len(source)] * 2
+        assert tree_query_rows[-1] < 0.1 * len(source)
 
     def test_identity_on_identical_clouds(self):
         cloud = sample_shape("composite", 96, seed=1)
