@@ -9,6 +9,7 @@ features comparable across a registration pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,38 +129,50 @@ def encode(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> np.nda
     n = pts.shape[0]
     k = config.k_neighbors
     order, knn_dist = _knn_indices(pts, k)
-    group = np.concatenate([pts[:, None, :], pts[order]], axis=1)  # (N, k+1, 3)
-    center = group.mean(axis=1)
-    spread = group - center[:, None, :]
-    cov = np.einsum("nka,nkb->nab", spread, spread) / (k + 1)
-    eigs = np.linalg.eigvalsh(cov)[:, ::-1]  # descending
+    # Every pass runs along the long point axis and adds in numpy's own
+    # order, so the statistics equal those of group.mean, einsum and
+    # np.linalg.norm bit for bit (README, "same sums, long axes"): reducing
+    # the slot axis of a contiguous (3, k+1, N) array adds the k+1 slots in
+    # sequence, as mean and einsum over an (N, k+1, 3) group's do.
+    cols = pts.T.copy()
+    slots = np.empty((k + 1, n), dtype=np.intp)
+    slots[0] = np.arange(n)
+    slots[1:] = order.T
+    spread = cols.take(slots, axis=1)  # (3, k+1, N): each point, then its k neighbours
+    center = np.add.reduce(spread, axis=1)
+    center /= k + 1
+    spread -= center[:, None, :]
+    cov = np.add.reduce(spread[:, None] * spread[None, :], axis=2)  # (3, 3, N)
+    cov /= k + 1
+    eigs = np.linalg.eigvalsh(cov.transpose(2, 0, 1))[:, ::-1]  # descending
 
     scale = knn_dist.mean()
     if scale == 0.0:  # all points coincident; keep the stats finite
         scale = 1.0
     lead = np.maximum(eigs[:, 0], 1e-18)
-    extent = np.sqrt(np.maximum(eigs[:, 0], 0.0)) / scale
-    planarity = (eigs[:, 1] - eigs[:, 2]) / lead
-    sphericity = eigs[:, 2] / lead
-    centroid_dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-    density = scale / (scale + knn_dist.mean(axis=1))
-
-    stats = np.concatenate(
-        [
-            knn_dist / scale,
-            extent[:, None],
-            planarity[:, None],
-            sphericity[:, None],
-            centroid_dist[:, None],
-            density[:, None],
-        ],
-        axis=1,
-    )
+    stats = np.empty((n, k + 5))
+    stats[:, :k] = knn_dist / scale
+    stats[:, k] = np.sqrt(np.maximum(eigs[:, 0], 0.0)) / scale  # extent
+    stats[:, k + 1] = (eigs[:, 1] - eigs[:, 2]) / lead  # planarity
+    stats[:, k + 2] = eigs[:, 2] / lead  # sphericity
+    # Distance to the cloud centroid: np.linalg.norm's row sums of squares,
+    # three entries each, added in sequence down the columns.
+    cols -= pts.mean(axis=0)[:, None]
+    cols *= cols
+    stats[:, k + 3] = np.sqrt(np.add.reduce(cols, axis=0))
+    stats[:, k + 4] = scale / (scale + knn_dist.mean(axis=1))  # density
     # Per-column standardization over the cloud. Constant columns (fully
     # symmetric shapes) are left at zero rather than amplified.
     stats = (stats - stats.mean(axis=0)) / np.maximum(stats.std(axis=0), 1e-9)
-    assert stats.shape == (n, k + 5)
-    seed = int(np.random.SeedSequence(config.mlp_seed).generate_state(1)[0])
-    mlp = SeededMlp([k + 5, config.d, config.d], seed=seed)
-    return mlp(stats)
+    return _seeded_mlp(config.mlp_seed, k + 5, config.d)(stats)
 
+
+@functools.lru_cache(maxsize=16)
+def _seeded_mlp(mlp_seed: int, width_in: int, d: int) -> SeededMlp:
+    """The descriptor lift for a config seed and widths, built once and
+    shared by every cloud encoded with them; its weights are read-only."""
+    seed = int(np.random.SeedSequence(mlp_seed).generate_state(1)[0])
+    mlp = SeededMlp([width_in, d, d], seed=seed)
+    for array in (*mlp.weights, *mlp.biases):
+        array.flags.writeable = False
+    return mlp

@@ -407,16 +407,24 @@ def farthest_point_sample(points: np.ndarray, count: int, seed: int) -> np.ndarr
     chosen = np.empty(count, dtype=np.intp)
     chosen[0] = rng.integers(0, n)
     # np.linalg.norm(pts - p, axis=1), written out as numpy computes it for
-    # real vectors (the root of the summed squares), into reused buffers.
-    diff = pts - pts[chosen[0]]
-    diff *= diff
-    best = np.sqrt(np.add.reduce(diff, axis=1))
+    # real vectors (the root of each row's summed squares), into reused
+    # buffers. numpy adds a row of fewer than 8 entries in sequence, so
+    # narrow inputs sum the squared columns of a transposed copy in that
+    # order, one long pass each, instead of one inner-loop call per row;
+    # from 8 entries numpy sums a row pairwise, and rows stay rows.
+    narrow = pts.shape[1] < 8
+    rows = pts.T.copy() if narrow else pts
+    diff = np.empty_like(rows)
+
+    def distances(i: int, out: np.ndarray) -> np.ndarray:
+        np.subtract(rows, rows[:, i : i + 1] if narrow else rows[i], out=diff)
+        np.multiply(diff, diff, out=diff)
+        return np.sqrt(np.add.reduce(diff, axis=0 if narrow else 1, out=out), out=out)
+
+    best = distances(chosen[0], np.empty(n))
     dist = np.empty(n)
     for i in range(1, count):
         nxt = int(np.argmax(best))
         chosen[i] = nxt
-        np.subtract(pts, pts[nxt], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sqrt(np.add.reduce(diff, axis=1, out=dist), out=dist)
-        np.minimum(best, dist, out=best)
+        np.minimum(best, distances(nxt, dist), out=best)
     return chosen

@@ -346,7 +346,8 @@ def register(
 def _paired_kabsch(centred: np.ndarray, centroid: np.ndarray, b: np.ndarray) -> RigidTransform:
     """Least-squares rigid motion for row-matched point sets, the first
     given as its centroid and its rows minus that centroid."""
-    cb = b.mean(axis=0)
+    cb = np.add.reduce(b, axis=0)  # b.mean(axis=0), as mean computes it
+    cb /= len(b)
     rotation, _ = kabsch_rotation(centred.T @ (b - cb))
     return RigidTransform(rotation, cb - rotation @ centroid)
 
@@ -363,19 +364,24 @@ def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: boo
     run, and a step that lowers the objective by less than ICP_TOL ends
     the loop. The diagnostics' `converged` is False only when the
     ICP_MAX_ITER budget ran out first. Neither cloud moves, so the target
-    is indexed and the source centred once per call.
+    is indexed and the source centred once per call, and every iteration
+    moves the source into the same buffer.
     """
     index = NeighborIndex(target)
     a = source.points
     ca = a.mean(axis=0)
     centred = a - ca
+    moved = np.empty_like(a)
     transform = RigidTransform.identity()
     idx, dists = nearest_neighbors(a, index)
     history = [float(dists.mean())]
     converged = False
     for _ in range(ICP_MAX_ITER):
-        candidate = _paired_kabsch(centred, ca, target.points[idx])
-        idx, dists = nearest_neighbors(transform_points(candidate, a), index)
+        candidate = _paired_kabsch(centred, ca, target.points.take(idx, axis=0))
+        # transform_points(candidate, a), written into the reused buffer.
+        np.matmul(a, candidate.rotation.T, out=moved)
+        moved += candidate.translation
+        idx, dists = nearest_neighbors(moved, index)
         objective = float(dists.mean())
         if objective > history[-1] - ICP_TOL:
             if objective <= history[-1]:

@@ -230,7 +230,8 @@ def _newton_loop(zt: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, 
         while iterations < max_iter:
             pi, plan = _row_plan(b, zs, mu_s)
             grad = nu_s - plan.sum(axis=1)
-            if float(np.abs(grad).sum()) <= stage_tol:
+            col_err = float(np.abs(grad).sum())
+            if col_err <= stage_tol:
                 break
             iterations += 1
             step = _newton_step(pi, plan, grad, mu_s, nu_s)
@@ -244,7 +245,11 @@ def _newton_loop(zt: np.ndarray, mu: np.ndarray, nu: np.ndarray, max_iter: int, 
     b *= scale
     if plan is None or scale != 1.0:
         _, plan = _row_plan(b, zt, mu_s)
-    err = _violation(plan, mu_s, nu_s)
+        err = _violation(plan, mu_s, nu_s)
+    else:
+        # The last stage ended on the plan it just tested: its column
+        # violation is summed already, as _violation sums it.
+        err = float(np.abs(plan.sum(axis=0) - mu_s).sum() + col_err)
     if support:
         return plan, err <= tol, iterations, err, b
     potentials = np.zeros(cols.size)

@@ -10,6 +10,7 @@ from ogmm.features import (
 )
 from ogmm.geometry import PointCloud, apply_transform, pairwise_distances, random_transform
 from ogmm.io import sample_shape
+from ogmm.registration import RegisterConfig, register
 
 
 class TestSeededMlp:
@@ -81,6 +82,50 @@ def descriptor_stats_oracle(points, k):
         stats[i, k + 3] = np.linalg.norm(points[i] - cloud_mean)
         stats[i, k + 4] = scale / (scale + all_knn[i].mean())
     return (stats - stats.mean(axis=0)) / np.maximum(stats.std(axis=0), 1e-9)
+
+
+def reference_encode(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """`encode` before its passes ran along the point axis, kept verbatim
+    (concatenate, mean, einsum, norm, a fresh MLP) as the oracle its
+    output must equal bit for bit."""
+    pts = cloud.points
+    n = pts.shape[0]
+    k = config.k_neighbors
+    order, knn_dist = _knn_indices(pts, k)
+    group = np.concatenate([pts[:, None, :], pts[order]], axis=1)  # (N, k+1, 3)
+    center = group.mean(axis=1)
+    spread = group - center[:, None, :]
+    cov = np.einsum("nka,nkb->nab", spread, spread) / (k + 1)
+    eigs = np.linalg.eigvalsh(cov)[:, ::-1]  # descending
+
+    scale = knn_dist.mean()
+    if scale == 0.0:  # all points coincident; keep the stats finite
+        scale = 1.0
+    lead = np.maximum(eigs[:, 0], 1e-18)
+    extent = np.sqrt(np.maximum(eigs[:, 0], 0.0)) / scale
+    planarity = (eigs[:, 1] - eigs[:, 2]) / lead
+    sphericity = eigs[:, 2] / lead
+    centroid_dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+    density = scale / (scale + knn_dist.mean(axis=1))
+
+    stats = np.concatenate(
+        [
+            knn_dist / scale,
+            extent[:, None],
+            planarity[:, None],
+            sphericity[:, None],
+            centroid_dist[:, None],
+            density[:, None],
+        ],
+        axis=1,
+    )
+    # Per-column standardization over the cloud. Constant columns (fully
+    # symmetric shapes) are left at zero rather than amplified.
+    stats = (stats - stats.mean(axis=0)) / np.maximum(stats.std(axis=0), 1e-9)
+    assert stats.shape == (n, k + 5)
+    seed = int(np.random.SeedSequence(config.mlp_seed).generate_state(1)[0])
+    mlp = SeededMlp([k + 5, config.d, config.d], seed=seed)
+    return mlp(stats)
 
 
 def knn_oracle(points, k):
@@ -189,6 +234,91 @@ class TestKnnIndices:
         expected = knn_oracle(points, k)
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+
+
+class TestEncodeBitExact:
+    """encode's long-axis passes rely on numpy's summation orders (README,
+    "same sums, long axes"); a numpy that changes them fails here instead
+    of moving descriptors by the last bit."""
+
+    @pytest.mark.parametrize("n", [17, 60, 512, 1024])
+    @pytest.mark.parametrize("kind", ["composite", "torus", "sphere"])
+    def test_matches_the_reference(self, kind, n):
+        cloud = sample_shape(kind, n, n)
+        for k in (1, 5, 6, 16, n - 1):
+            cfg = FeatureConfig(d=16, k_neighbors=k, mlp_seed=k)
+            np.testing.assert_array_equal(encode(cloud, cfg), reference_encode(cloud, cfg))
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_duplicated_points(self, k):
+        # Copies at distance 0 send rows to the dense k-NN fallback.
+        rng = np.random.default_rng(k)
+        base = sample_shape("composite", 80, k).points
+        points = np.concatenate([base, base[:30], base[:10]])[rng.permutation(120)]
+        cfg = FeatureConfig(d=8, k_neighbors=k)
+        cloud = PointCloud(points)
+        np.testing.assert_array_equal(encode(cloud, cfg), reference_encode(cloud, cfg))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_all_points_coincident(self, k):
+        # Every neighbour distance is 0, so the descriptor's scale falls
+        # back to 1.
+        cloud = PointCloud(np.tile([[0.3, -1.2, 2.5]], (k + 4, 1)))
+        cfg = FeatureConfig(d=8, k_neighbors=k)
+        got = encode(cloud, cfg)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, reference_encode(cloud, cfg))
+
+
+@pytest.fixture
+def cold_mlp_cache():
+    """encode's MLP cache, emptied before and after the test."""
+    features._seeded_mlp.cache_clear()
+    yield features._seeded_mlp
+    features._seeded_mlp.cache_clear()
+
+
+class TestSeededMlpCache:
+    def test_at_most_one_construction_per_start(self, monkeypatch, cold_mlp_cache):
+        built = []
+
+        class Counting(SeededMlp):
+            def __init__(self, dims, seed):
+                built.append(seed)
+                super().__init__(dims, seed)
+
+        monkeypatch.setattr(features, "SeededMlp", Counting)
+        cloud = sample_shape("composite", 96, 4)
+        moved = apply_transform(random_transform(4), cloud)
+        ones = np.ones(len(cloud))
+        config = RegisterConfig.desk(starts=3)
+        # Cold: each start's seed is built once, for the source; the target
+        # shares it.
+        result = register(cloud, moved, config, ones, ones)
+        starts = result.diagnostics["starts"]
+        assert starts == 3
+        assert len(built) == starts
+        assert len(set(built)) == starts
+        # Warm: nothing is built.
+        again = register(cloud, moved, config, ones, ones)
+        assert len(built) == starts
+        np.testing.assert_array_equal(again.transform.rotation, result.transform.rotation)
+
+    def test_cached_weights_are_read_only(self, cold_mlp_cache):
+        mlp = cold_mlp_cache(0, 10, 32)
+        for array in (*mlp.weights, *mlp.biases):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_one_mlp_per_seed_and_widths(self, cold_mlp_cache):
+        base = cold_mlp_cache(0, 10, 32)
+        assert cold_mlp_cache(0, 10, 32) is base
+        x = np.random.default_rng(5).normal(size=(6, 10))
+        for other in (cold_mlp_cache(1, 10, 32), cold_mlp_cache(0, 10, 16)):
+            assert other is not base
+            assert not np.array_equal(other(x)[:, :16], base(x)[:, :16])
+        wider = cold_mlp_cache(0, 11, 32)
+        assert wider is not base and wider.dims == (11, 32, 32)
 
 
 class TestEncode:

@@ -21,6 +21,7 @@ from ogmm.geometry import (
     random_transform,
     transform_points,
 )
+from test_clustering import reference_farthest_point_sample
 
 
 def random_rigid(seed):
@@ -492,6 +493,72 @@ class TestFarthestPointSample:
         pts = np.random.default_rng(5).normal(size=(30, 16))
         chosen = farthest_point_sample(pts, 8, 3)
         assert len(set(chosen.tolist())) == 8
+
+
+class TestFarthestPointSampleBitExact:
+    """Inputs narrower than 8 columns sum their squared columns in
+    sequence, the order numpy sums such rows in np.linalg.norm; wider
+    ones, 8 columns included, keep numpy's pairwise row reduction. Sizes
+    cross 8192 entries, where numpy's buffered reductions change their
+    chunking."""
+
+    WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 32]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7])
+    def test_numpy_sums_short_rows_in_sequence(self, width):
+        # The order the column sweep relies on, checked on numpy itself.
+        rng = np.random.default_rng(width)
+        for n in (1, 7, 8191, 8193, 20000):
+            x = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            sequential = np.zeros(n)
+            for column in x.T:
+                sequential += column * column
+            np.testing.assert_array_equal(np.sqrt(sequential), np.linalg.norm(x, axis=1))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_matches_the_reference(self, width):
+        rng = np.random.default_rng(width)
+        for n in (1, 2, 9, 512, 8191, 8193, 20000):
+            x = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-3, 3)
+            count = min(n, 16)
+            for seed in (0, 1):
+                np.testing.assert_array_equal(
+                    farthest_point_sample(x, count, seed),
+                    reference_farthest_point_sample(x, count, seed),
+                )
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_permuted_coordinates(self, width):
+        # Each row's cyclic shifts lie at the same exact distance from the
+        # origin, so which of them a max-min step picks is decided by how
+        # the squares were summed.
+        rng = np.random.default_rng(100 + width)
+        base = rng.uniform(0.1, 1.0, size=(max(400 // width, 8), width))
+        x = np.concatenate([np.roll(base, s, axis=1) for s in range(width)])
+        x = np.concatenate([np.zeros((1, width)), x[rng.permutation(len(x))]])
+        for seed in range(3):
+            np.testing.assert_array_equal(
+                farthest_point_sample(x, len(x), seed),
+                reference_farthest_point_sample(x, len(x), seed),
+            )
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 32])
+    def test_lattice_with_exact_ties(self, width):
+        # On an integer lattice every squared distance is an exact integer,
+        # so max-min ties are exact and go to the lowest index.
+        side = {1: 40, 2: 9, 3: 5, 7: 2, 32: 1}[width]
+        axes = [np.arange(float(side))] * width if width < 32 else None
+        if axes is None:
+            grid = np.eye(32)[np.random.default_rng(32).permutation(32)]
+        else:
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, width)
+        grid = grid[np.random.default_rng(width).permutation(len(grid))]
+        for seed in range(4):
+            count = min(len(grid), 40)
+            np.testing.assert_array_equal(
+                farthest_point_sample(grid, count, seed),
+                reference_farthest_point_sample(grid, count, seed),
+            )
 
 
 def test_degenerate_geometry_error_is_value_error():

@@ -240,6 +240,56 @@ class TestMarginalError:
         assert abs(plan.marginal_error - self._violation(plan, mu, nu)) <= 1e-12
 
 
+class TestMarginalErrorReuse:
+    """A loop whose last stage ends on the plan it just tested reuses that
+    test's column violation; every exit must report exactly what
+    `_violation` recomputes from the returned plan on the support."""
+
+    @staticmethod
+    def _solve(cost, mu, nu, epsilon, max_iter, tol, init=None):
+        zt = np.divide(cost.T, epsilon, order="C")
+        plan_t, converged, iterations, err, _ = transport._newton_loop(
+            zt, mu, nu, max_iter, tol, None if init is None else init / epsilon
+        )
+        rows, cols = mu > 0, nu > 0
+        recomputed = transport._violation(plan_t[np.ix_(cols, rows)], mu[rows], nu[cols])
+        assert err == recomputed
+        return converged, iterations
+
+    def test_cold_and_warm_solves(self):
+        rng = np.random.default_rng(21)
+        for n, m in ((40, 6), (512, 16), (8, 8)):
+            cost = rng.uniform(0, 1, size=(n, m))
+            mu = rng.uniform(0.1, 1.0, size=n)
+            mu /= mu.sum()
+            nu = np.full(m, 1 / m)
+            converged, _ = self._solve(cost, mu, nu, 0.05, 5000, 1e-9)
+            assert converged
+            warm = sinkhorn(cost, mu, nu, epsilon=0.05, tol=1e-9, max_iter=5000).potentials
+            for init in (np.zeros(m), warm):
+                converged, iterations = self._solve(cost, mu, nu, 0.05, 5000, 1e-9, init)
+                assert converged
+            # Started at its own answer, the warm solve stops at once.
+            assert iterations == 0
+
+    def test_budget_exhausted_solves(self):
+        cost = np.random.default_rng(22).uniform(0, 1, size=(6, 9))
+        mu, nu = np.full(6, 1 / 6), np.full(9, 1 / 9)
+        for init in (None, np.zeros(9)):
+            for max_iter in (1, 2, 3):
+                converged, iterations = self._solve(cost, mu, nu, 1e-2, max_iter, 1e-14, init)
+                assert not converged and iterations == max_iter
+
+    @pytest.mark.parametrize("max_iter", [2, 5000])
+    def test_zero_mass_marginals(self, max_iter):
+        cost = np.random.default_rng(23).uniform(0, 1, size=(7, 5))
+        mu = np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.25, 0.15])
+        nu = np.array([0.0, 0.4, 0.35, 0.0, 0.25])
+        for init in (None, np.zeros(5)):
+            converged, _ = self._solve(cost, mu, nu, 0.05, max_iter, 1e-9, init)
+            assert converged == (max_iter > 2)
+
+
 class TestSinkhornEdges:
     def test_budget_exhaustion_reports_not_converged(self):
         cost = np.random.default_rng(5).uniform(0, 1, size=(6, 6))
