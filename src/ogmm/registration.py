@@ -1,11 +1,13 @@
-"""End-to-end rigid registration: features, attention, mixtures, solve.
+"""End-to-end rigid registration: describe each cloud, then match the two.
 
-The pipeline is deterministic for fixed seeds: encode both clouds with the
-same weights, cluster geometrically, refine features with shared-weight
-self- and cross-attention, score per-point overlap, estimate one weighted
-mixture per cloud, couple the components by entropic transport over feature
-distances, and close with a weighted Procrustes solve on the component means
-under that plan.
+Each start describes each cloud alone: the seeded local descriptor,
+geometric balanced k-means, clustered self-attention with weights both
+clouds share, and a soft assignment of the attended features to mixture
+components. Only the rest involves both clouds: the overlap scores (the
+caller's, all ones, or predicted by cross-attention and the overlap head),
+one overlap-weighted mixture per cloud, entropic transport between the
+components over feature distances, and a weighted Procrustes solve on the
+component means under that plan. Fixed seeds make it deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .attention import (
     clustered_self_attention,
     overlap_scores,
 )
-from .clustering import KMEANS_STOPS, soft_assignment, wasserstein_kmeans
+from .clustering import (
+    KMEANS_STOPS, ClusterAssignment, SoftAssignment, soft_assignment, wasserstein_kmeans,
+)
 from .features import FeatureConfig, encode
 from .geometry import (
     DegenerateGeometryError,
@@ -49,6 +53,10 @@ ATTENTION_SEED = 1
 OVERLAP_TAU = 0.1
 FEATURE_SEED = 0
 CLUSTER_SEED = 2
+# The self-attention, cross-attention and overlap-head seeds, derived once.
+_SELF_SEED, _CROSS_SEED, _HEAD_SEED = (
+    int(s) for s in np.random.SeedSequence(ATTENTION_SEED).generate_state(3)
+)
 # The ICP baseline's iteration budget and the smallest objective drop that
 # lets it continue.
 ICP_MAX_ITER = 50
@@ -89,6 +97,8 @@ class RegisterConfig:
             raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}")
         if self.n_geo_clusters < 1 or self.n_components < 1:
             raise ValueError("cluster counts must be positive")
+        if self.k_neighbors < 1:
+            raise ValueError("k_neighbors must be at least 1")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
 
@@ -158,21 +168,49 @@ def _fixed_overlap(config: RegisterConfig, overlap_source, overlap_target, n_p: 
     return None
 
 
-def _seeded_weights(predict: bool, stage_ms: dict) -> tuple:
-    """Self-attention weights, then the cross-attention weights and overlap
-    head, which only the predicted arm builds (None otherwise)."""
-    self_seed, cross_seed, head_seed = (
-        int(s) for s in np.random.SeedSequence(ATTENTION_SEED).generate_state(3)
-    )
+@dataclass(frozen=True)
+class _CloudModel:
+    """One cloud as one start describes it, from that cloud alone: its
+    geometric clusters, its self-attended features and their soft
+    assignment to mixture components."""
+
+    clusters: ClusterAssignment
+    features: np.ndarray
+    soft: SoftAssignment
+
+
+def _describe(
+    clouds: tuple, config: RegisterConfig, start: int, w_self: AttentionWeights, stage_ms: dict
+) -> list:
+    """Each cloud's model for start `start`, stage by stage across the
+    clouds (faster than one cloud at a time; README design note). Both
+    seeded stages step with the start: partitions and the descriptor lift
+    fail on different pairs, so diversity in one alone wastes restarts."""
+    fcfg = FeatureConfig(FEATURE_DIM, config.k_neighbors, FEATURE_SEED + start)
+    seed = CLUSTER_SEED + start
+    with _timed(stage_ms, "encode"):
+        enc = [encode(cloud, fcfg) for cloud in clouds]
+    with _timed(stage_ms, "geometric_kmeans"):
+        clusters = [wasserstein_kmeans(cloud, config.n_geo_clusters, seed) for cloud in clouds]
     with _timed(stage_ms, "self_attention"):
-        w_self = AttentionWeights.seeded(FEATURE_DIM, ATTENTION_HEADS, self_seed)
-    if not predict:
-        return w_self, None, None
+        features = [clustered_self_attention(x, c.labels, w_self) for x, c in zip(enc, clusters)]
+    with _timed(stage_ms, "soft_assignment"):
+        soft = [soft_assignment(f, config.n_components, seed) for f in features]
+    return [_CloudModel(*parts) for parts in zip(clusters, features, soft)]
+
+
+def _predicted_overlap(model_p: _CloudModel, model_q: _CloudModel, stage_ms: dict) -> tuple:
+    """Both clouds' overlap scores from their features cross-attended to the
+    other cloud's clusters. Only the predicted arm reads these, so only it
+    builds the cross-attention weights and the overlap head."""
     with _timed(stage_ms, "cross_attention"):
-        w_cross = AttentionWeights.seeded(FEATURE_DIM, ATTENTION_HEADS, cross_seed)
+        w_cross = AttentionWeights.seeded(FEATURE_DIM, ATTENTION_HEADS, _CROSS_SEED)
+        f_p, f_q = model_p.features, model_q.features
+        cross_p = clustered_cross_attention(f_p, f_q, model_q.clusters.labels, w_cross)
+        cross_q = clustered_cross_attention(f_q, f_p, model_p.clusters.labels, w_cross)
     with _timed(stage_ms, "overlap_head"):
-        head = OverlapHead.seeded(FEATURE_DIM, head_seed, OVERLAP_TAU)
-    return w_self, w_cross, head
+        head = OverlapHead.seeded(FEATURE_DIM, _HEAD_SEED, OVERLAP_TAU)
+        return overlap_scores(cross_p, cross_q, head), overlap_scores(cross_q, cross_p, head)
 
 
 def _register_once(
@@ -180,50 +218,20 @@ def _register_once(
     target: PointCloud,
     config: RegisterConfig,
     index: int,
-    weights: tuple,
+    w_self: AttentionWeights,
     overlap,
     stage_ms: dict,
 ) -> RegistrationResult:
-    """Start `index` of the pipeline, with the weights of `_seeded_weights`
-    and the overlap of `_fixed_overlap`."""
-    # Step both seeded stages: partitions and the descriptor lift fail on
-    # different pairs, so diversity in one alone wastes restarts.
-    fcfg = FeatureConfig(FEATURE_DIM, config.k_neighbors, FEATURE_SEED + index)
-    cluster_seed = CLUSTER_SEED + index
-    with _timed(stage_ms, "encode"):
-        enc_p = encode(source, fcfg)
-        enc_q = encode(target, fcfg)
-
-    with _timed(stage_ms, "geometric_kmeans"):
-        geo_p = wasserstein_kmeans(source, config.n_geo_clusters, cluster_seed)
-        geo_q = wasserstein_kmeans(target, config.n_geo_clusters, cluster_seed)
-
-    w_self, w_cross, head = weights
-    with _timed(stage_ms, "self_attention"):
-        f_p = clustered_self_attention(enc_p, geo_p.labels, w_self)
-        f_q = clustered_self_attention(enc_q, geo_q.labels, w_self)
-
+    """Start `index`: describe both clouds, then match them under the overlap
+    of `_fixed_overlap`, or under the predicted overlap where that is None."""
+    model_p, model_q = _describe((source, target), config, index, w_self, stage_ms)
     if overlap is None:
-        # Cross-attended features feed the overlap head alone, so only the
-        # predicted arm computes them.
-        with _timed(stage_ms, "cross_attention"):
-            f_p_cross = clustered_cross_attention(f_p, f_q, geo_q.labels, w_cross)
-            f_q_cross = clustered_cross_attention(f_q, f_p, geo_p.labels, w_cross)
-        with _timed(stage_ms, "overlap_head"):
-            o_p = overlap_scores(f_p_cross, f_q_cross, head)
-            o_q = overlap_scores(f_q_cross, f_p_cross, head)
-        overlap_origin = "predicted"
-    else:
-        o_p, o_q, overlap_origin = overlap
-
-    with _timed(stage_ms, "soft_assignment"):
-        soft_p = soft_assignment(f_p, config.n_components, cluster_seed)
-        soft_q = soft_assignment(f_q, config.n_components, cluster_seed)
+        overlap = (*_predicted_overlap(model_p, model_q, stage_ms), "predicted")
+    o_p, o_q, overlap_origin = overlap
 
     with _timed(stage_ms, "moments"):
-        gmm_p = estimate_gmm(source, f_p, soft_p, o_p)
-        gmm_q = estimate_gmm(target, f_q, soft_q, o_q)
-
+        gmm_p = estimate_gmm(source, model_p.features, model_p.soft, o_p)
+        gmm_q = estimate_gmm(target, model_q.features, model_q.soft, o_q)
     with _timed(stage_ms, "matching"):
         plan = match_components(gmm_p, gmm_q)
     with _timed(stage_ms, "procrustes"):
@@ -231,15 +239,15 @@ def _register_once(
 
     diagnostics = {
         "overlap_origin": overlap_origin,
-        "kmeans_iterations_source": int(geo_p.n_iter),
-        "kmeans_iterations_target": int(geo_q.n_iter),
+        "kmeans_iterations_source": int(model_p.clusters.n_iter),
+        "kmeans_iterations_target": int(model_q.clusters.n_iter),
         "overlap_mass_source": float(o_p.sum()),
         "overlap_mass_target": float(o_q.sum()),
-        "component_argmax_source": np.argmax(soft_p.scores, axis=1).tolist(),
-        "component_argmax_target": np.argmax(soft_q.scores, axis=1).tolist(),
+        "component_argmax_source": np.argmax(model_p.soft.scores, axis=1).tolist(),
+        "component_argmax_target": np.argmax(model_q.soft.scores, axis=1).tolist(),
     }
     # The four balanced k-means runs: geometric and soft, both clouds.
-    kmeans_runs = (geo_p, geo_q, soft_p.kmeans, soft_q.kmeans)
+    kmeans_runs = (model_p.clusters, model_q.clusters, model_p.soft.kmeans, model_q.soft.kmeans)
     diagnostics["kmeans_sinkhorn_calls"] = sum(r.sinkhorn_calls for r in kmeans_runs)
     diagnostics["kmeans_sinkhorn_iterations"] = sum(r.sinkhorn_iterations for r in kmeans_runs)
     diagnostics["kmeans_sinkhorn_unconverged"] = sum(r.sinkhorn_unconverged for r in kmeans_runs)
@@ -277,15 +285,16 @@ def register(
 
     Overlap overrides replace the predicted scores (pass ground-truth labels
     for an oracle run, or an external predictor's scores). With overrides
-    (all-ones arrays included), config.starts > 1 re-runs the pipeline with stepped feature and
-    clustering seeds (start i uses FEATURE_SEED + i and CLUSTER_SEED + i)
-    and keeps the estimate with the lowest overlap-weighted
-    nearest-neighbor residual. Without them (predicted or all-ones overlap)
-    one start runs whatever config.starts says: that residual then does
-    not reliably identify the right motion, and further starts cost time
-    without lowering the mean error. diagnostics["starts"] is the number
-    of starts run. The attention weights and fixed overlap scores do not
-    depend on the start and are built once per call.
+    (all-ones arrays included), config.starts > 1 re-runs the pipeline with
+    stepped feature and clustering seeds (start i uses FEATURE_SEED + i and
+    CLUSTER_SEED + i) and keeps the estimate with the lowest
+    overlap-weighted nearest-neighbor residual, the first such start on a
+    tie. Without them (predicted or all-ones overlap) one start runs
+    whatever config.starts says: that residual then does not reliably
+    identify the right motion, and further starts cost time without
+    lowering the mean error. diagnostics["starts"] is the number of starts
+    run. The self-attention weights and fixed overlap scores do not depend
+    on the start and are built once per call.
     """
     start = time.perf_counter()
     n_p, n_q = len(source), len(target)
@@ -297,49 +306,38 @@ def register(
         )
     stage_ms = dict.fromkeys(STAGES, 0.0)
     overlap = _fixed_overlap(config, overlap_source, overlap_target, n_p, n_q)
-    weights = _seeded_weights(overlap is None, stage_ms)
+    with _timed(stage_ms, "self_attention"):
+        w_self = AttentionWeights.seeded(FEATURE_DIM, ATTENTION_HEADS, _SELF_SEED)
     # Only the caller's overlap weights let the residual select a start.
     starts = config.starts if overlap_source is not None else 1
-    best = None
-    residuals = []
-    # Each start's matching solve, so an unconverged solve in a start that
-    # lost the selection still shows; None marks a start that failed.
-    start_solves = []
-    failure = None
+    # Each start's result, or None where the start failed.
+    attempts = []
     for i in range(starts):
         try:
-            attempt = _register_once(source, target, config, i, weights, overlap, stage_ms)
+            attempts.append(_register_once(source, target, config, i, w_self, overlap, stage_ms))
         except DegenerateGeometryError as exc:
             failure = exc
-            residuals.append(float("inf"))
-            start_solves.append(None)
-            continue
-        start_solves.append(attempt.plan)
-        if starts == 1:
-            best = (0.0, i, attempt)
-            break
-        with _timed(stage_ms, "restart_selection"):
-            residual = _alignment_residual(attempt, source, target)
-        residuals.append(residual)
-        if best is None or residual < best[0]:
-            best = (residual, i, attempt)
-    if best is None:
-        raise failure
-    _, chosen, result = best
-    elapsed = (time.perf_counter() - start) * 1000.0
-    diagnostics = dict(result.diagnostics)
-    diagnostics["runtime_ms"] = elapsed
-    diagnostics["stage_ms"] = stage_ms
-    diagnostics["starts"] = starts
-    diagnostics["chosen_start"] = int(chosen)
+            attempts.append(None)
+    chosen = 0
     if starts > 1:
-        diagnostics["start_residuals"] = [float(r) for r in residuals]
-        diagnostics["start_sinkhorn_iterations"] = [
-            None if p is None else int(p.iterations) for p in start_solves
-        ]
-        diagnostics["start_sinkhorn_converged"] = [
-            None if p is None else bool(p.converged) for p in start_solves
-        ]
+        with _timed(stage_ms, "restart_selection"):
+            residuals = [
+                float("inf") if a is None else _alignment_residual(a, source, target)
+                for a in attempts
+            ]
+        chosen = int(np.argmin(residuals))
+    result = attempts[chosen]
+    if result is None:
+        raise failure
+    elapsed = (time.perf_counter() - start) * 1000.0
+    diagnostics = dict(result.diagnostics, runtime_ms=elapsed, stage_ms=stage_ms)
+    diagnostics.update(starts=starts, chosen_start=chosen)
+    if starts > 1:
+        diagnostics["start_residuals"] = residuals
+        for key in ("sinkhorn_iterations", "sinkhorn_converged"):
+            diagnostics["start_" + key] = [
+                None if a is None else a.diagnostics[key] for a in attempts
+            ]
     return replace(result, diagnostics=diagnostics)
 
 

@@ -171,15 +171,17 @@ class TestConfigHandling:
             ({"overlap_fractions": 0.7}, "overlap_fractions must be a list"),
             ({"cluster_counts": "8"}, "cluster_counts must be a list"),
             ({"cluster_counts": 8}, "cluster_counts must be a list"),
+            ({"register": {"k_neighbors": 0}}, "k_neighbors must be at least 1"),
         ],
         ids=["noise_sigma-nan", "noise_sigma-inf", "density_keep-nan", "methods-str",
              "methods-object", "overlap_fractions-str", "overlap_fractions-float",
-             "cluster_counts-str", "cluster_counts-int"],
+             "cluster_counts-str", "cluster_counts-int", "register-k_neighbors-0"],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, data, fragment):
         # A non-finite noise level would run unjittered or fully clamped, and a
         # string or an object would be read as the list of its characters or
-        # keys; all are refused, under the config's own key names.
+        # keys; all are refused, under the config's own key names. A zero
+        # neighbourhood would leave every ogmm row invalid in a run that exits 0.
         config = write_config(tmp_path, data)
         code = main([
             "bench", "--profile", "desk", "--config", str(config),

@@ -26,6 +26,7 @@ from ogmm.geometry import (
     transform_points,
 )
 from ogmm.io import PairSpec, make_pair, sample_shape
+from ogmm.metrics import geodesic_rotation_deg
 from ogmm.mixture import weighted_svd
 from ogmm import registration
 from ogmm.registration import (
@@ -70,6 +71,8 @@ class TestRegisterConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RegisterConfig(overlap_mode="oracle")
+        with pytest.raises(ValueError, match="k_neighbors must be at least 1"):
+            RegisterConfig(k_neighbors=0)
         # Every start runs the transport solve; there is no solver to pick.
         with pytest.raises(TypeError):
             RegisterConfig(solver="transport")
@@ -214,6 +217,19 @@ class TestRegister:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(registration, "clustered_cross_attention", cross)
+        built = {"AttentionWeights": 0, "OverlapHead": 0}
+
+        def count_builds(kind):
+            real_seeded = kind.seeded
+
+            def seeded(*args, **kwargs):
+                built[kind.__name__] += 1
+                return real_seeded(*args, **kwargs)
+
+            monkeypatch.setattr(kind, "seeded", seeded)
+
+        count_builds(registration.AttentionWeights)
+        count_builds(registration.OverlapHead)
         pair = make_pair(PairSpec(n_points=128, overlap_keep_fraction=0.7, seed=9))
         config = RegisterConfig.desk(overlap_mode="ones" if mode == "ones" else "predicted")
         overrides = _labels(pair) if mode == "override" else {}
@@ -225,6 +241,11 @@ class TestRegister:
         assert len(calls) == (2 if mode == "predicted" else 0)
         assert diagnostics["overlap_origin"] == mode
         assert (diagnostics["stage_ms"]["cross_attention"] > 0.0) == (mode == "predicted")
+        # One build per call of each weight set a run reads: the self-attention
+        # weights on every arm, whatever the start count, and the cross
+        # weights and overlap head on the predicted arm alone.
+        predicted = mode == "predicted"
+        assert built == {"AttentionWeights": 1 + predicted, "OverlapHead": int(predicted)}
 
     @pytest.mark.parametrize("config", [DESK, RegisterConfig.desk(starts=1)])
     def test_stage_times_cover_the_run(self, config):
@@ -392,6 +413,57 @@ def test_kmeans_sinkhorn_work_stays_cut(pairs, kind):
     for (source, target, config), old in zip(pairs(len(before)), before):
         iterations = register(source, target, config).diagnostics["kmeans_sinkhorn_iterations"]
         assert iterations <= 0.65 * old
+
+
+# Pairs of the desk bench (base seeds 0-2) each arm recovers within 30 deg
+# when every cloud's features are its points in the target frame, as
+# recorded when this test was written: 30 of 54 on the all-ones arm
+# (median 26.4 deg) and 40 of 54 with the oracle labels (median 12.2 deg).
+# Passing the plan transposed to weighted_svd drops them to 3 and 6.
+SIGNAL_RECOVERED_MIN = {"ones": 27, "oracle": 36}
+
+
+def test_downstream_stages_recover_the_motion_from_features_that_carry_signal(monkeypatch):
+    """With features that carry signal (each cloud's points in the target
+    frame, tiled to the feature width) in place of the seeded descriptor,
+    the real clustering, attention, mixtures, matching, Procrustes solve
+    and start selection recover most desk motions, and overlap guidance
+    recovers more than none: a broken downstream stage fails here even
+    though the descriptor's noise hides it from every end-to-end gate."""
+    frames = {}
+    tiles = -(-registration.FEATURE_DIM // 3)
+
+    def encode(cloud, config):
+        return np.tile(frames[id(cloud)], tiles)[:, :registration.FEATURE_DIM]
+
+    monkeypatch.setattr(registration, "encode", encode)
+    errors = {"ones": [], "oracle": []}
+    for base_seed in (0, 1, 2):
+        bench = BenchConfig.desk(base_seed=base_seed)
+        for cell in bench.cells():
+            config = replace(bench.register, n_components=cell.n_components)
+            for trial in range(bench.trials):
+                pair = make_pair(bench.pair_spec(cell, trial), bench.shape_kind)
+                frames = {
+                    id(pair.source): transform_points(pair.gt_transform, pair.source.points),
+                    id(pair.target): pair.target.points,
+                }
+                arms = {
+                    "ones": (replace(config, overlap_mode="ones"), {}),
+                    "oracle": (config, _labels(pair)),
+                }
+                for arm, (arm_config, overrides) in arms.items():
+                    try:
+                        result = register(pair.source, pair.target, arm_config, **overrides)
+                        error = geodesic_rotation_deg(result.transform, pair.gt_transform)
+                    except DegenerateGeometryError:
+                        error = 180.0
+                    errors[arm].append(error)
+    recovered = {arm: sum(e <= 30.0 for e in errs) for arm, errs in errors.items()}
+    assert all(len(errs) == 54 for errs in errors.values())
+    assert recovered["ones"] >= SIGNAL_RECOVERED_MIN["ones"], recovered
+    assert recovered["oracle"] >= SIGNAL_RECOVERED_MIN["oracle"], recovered
+    assert recovered["oracle"] > recovered["ones"], recovered
 
 
 def reference_paired_kabsch(a: np.ndarray, b: np.ndarray) -> RigidTransform:
