@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, apply_transform, as_integer
+from .geometry import DegenerateGeometryError, apply_transform, as_integer, as_real
 from .io import SHAPE_KINDS, PairSpec, make_pair, write_cloud
 from .metrics import (
     ccd,
@@ -83,20 +83,24 @@ class BenchConfig:
         for name in ("methods", "overlap_fractions", "cluster_counts"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise BenchConfigError(f"{name} must be a list")
-        object.__setattr__(self, "overlap_fractions", tuple(float(v) for v in self.overlap_fractions))
+        fractions = (as_real(f, "an overlap fraction", BenchConfigError) for f in self.overlap_fractions)
+        object.__setattr__(self, "overlap_fractions", tuple(fractions))
         counts = (as_integer(c, "a cluster count", BenchConfigError) for c in self.cluster_counts)
         object.__setattr__(self, "cluster_counts", tuple(counts))
+        for name in ("noise_sigma", "density_keep"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, BenchConfigError))
         for name in ("trials", "n_points", "base_seed"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, BenchConfigError))
         object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
-        if not self.overlap_fractions or not self.cluster_counts:
-            raise BenchConfigError("sweep ranges must be non-empty")
+        # summarize matches rows to cells by value; a repeated method runs twice.
+        for name in ("overlap_fractions", "cluster_counts", "methods"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise BenchConfigError(f"{name} must list distinct values, got {list(values)}")
         if any(not (0.0 < v <= 1.0) for v in self.overlap_fractions):
             raise BenchConfigError("overlap fractions must lie in (0, 1]")
         if any(c < 1 for c in self.cluster_counts):
             raise BenchConfigError("cluster counts must be positive")
-        if not self.methods:
-            raise BenchConfigError("at least one method is required")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise BenchConfigError(f"unknown methods: {sorted(unknown)}")

@@ -13,9 +13,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, pairwise_distances
+from .geometry import PointCloud, tree_neighbors
 
 
 @dataclass(frozen=True)
@@ -79,37 +78,19 @@ def _knn_indices(points: np.ndarray, k: int):
 
     Exact distance ties resolve in index order, as a stable argsort of each
     row of the dense distance matrix would, which makes the neighborhood
-    graph deterministic. The cloud's own k-d tree supplies each point's k+2
-    nearest, itself included; cKDTree's distances equal cdist's bit for
-    bit. A row takes the dense stable argsort instead, over that row alone,
-    when the tree cannot settle it: a duplicate at distance 0 is listed
-    before the point itself, or the k-th and (k+1)-th neighbors tie. (With
-    the point listed first, its duplicates are ties like any other.)
+    graph deterministic. Each row is the point's k+1 nearest from
+    geometry.tree_neighbors, itself included, less the point itself, or
+    less the last entry when more than k lower-index copies at distance 0
+    leave the point unlisted.
     """
     n = points.shape[0]
     if k >= n:
         raise ValueError(f"k_neighbors must be below the point count, got k={k}, N={n}")
-    # At k = n - 1 the last column is cKDTree's (inf, n) filler, which
-    # ties with nothing.
-    dist, order = cKDTree(points).query(points, k + 2)
-    dense = np.flatnonzero((order[:, 0] != np.arange(n)) | (dist[:, k] == dist[:, k + 1]))
-    # Contiguous copies: numpy sums a strided view of more than 8192
-    # entries in buffered chunks, which would move the descriptor's scale
-    # in the last bit.
-    order, dist = order[:, 1 : k + 1].copy(), dist[:, 1 : k + 1].copy()
-    # The tree sorts each row by distance but lists equal distances in no
-    # set order; rows with a tie are sorted by (distance, index), as the
-    # stable argsort would.
-    tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
-    if tied.size:
-        resort = np.lexsort((order[tied], dist[tied]), axis=1)
-        order[tied] = np.take_along_axis(order[tied], resort, axis=1)
-    if dense.size:
-        full = pairwise_distances(points[dense], points)
-        full[np.arange(dense.size), dense] = np.inf
-        order[dense] = np.argsort(full, axis=1, kind="stable")[:, :k]
-        dist[dense] = np.take_along_axis(full, order[dense], axis=1)
-    return order, dist
+    order, dist, _ = tree_neighbors(points, points, k + 1)
+    keep = order != np.arange(n)[:, None]
+    keep[keep.all(axis=1), k] = False
+    # Boolean indexing copies the views into the contiguous arrays the scale's sum needs.
+    return order[keep].reshape(n, k), dist[keep].reshape(n, k)
 
 
 def encode(cloud: PointCloud, config: FeatureConfig = FeatureConfig()) -> np.ndarray:

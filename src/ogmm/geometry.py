@@ -3,12 +3,12 @@
 Everything downstream (clustering, mixtures, benchmarking) goes through the
 types defined here, so validation is strict: malformed rotations or
 non-finite coordinates fail at construction time, not deep inside a solver.
-Nearest-neighbour search switches from a dense distance matrix to a k-d
-tree at NN_TREE_MIN_POINTS target points; both paths return the same
-indices and distances bit for bit. A NeighborIndex holds a target's tree
-so repeated searches against a cloud that does not move (ICP's) build it
-once, and remembers each row's last match so that the next block sends to
-the tree only the rows whose match can have changed.
+tree_neighbors is the one k-d tree search, for the descriptor's k-NN and
+for nearest_neighbors from NN_TREE_MIN_POINTS target points on (a dense
+scan below, with the same arrays bit for bit). A NeighborIndex holds a
+target's tree so repeated searches against a cloud that does not move
+(ICP's) build it once, and remembers each row's last match so that the
+next block sends to the tree only the rows whose match can have changed.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ def as_integer(value, name: str, error: type = ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str, error: type = ValueError) -> float:
+    """value as a float if it is a real number; a bool or a string raises `error`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _as_float_array(values, name: str, shape: tuple) -> np.ndarray:
@@ -134,7 +141,9 @@ def matrix_to_euler(rotation: np.ndarray) -> EulerAnglesDeg:
         # Gimbal lock: only rz +/- rx is determined.
         rx = 0.0
         rz = np.arctan2(-r[0, 1], r[1, 1])
-    return EulerAnglesDeg(rx * _DEG, ry * _DEG, rz * _DEG)
+    # arctan2's -pi (a half turn whose sine rounds below 0) is 180 here.
+    rx, rz = (180.0 if a == -180.0 else a for a in (rx * _DEG, rz * _DEG))
+    return EulerAnglesDeg(rx, ry * _DEG, rz)
 
 
 @dataclass(frozen=True)
@@ -273,21 +282,6 @@ def random_transform(seed: int, rot_max_deg: float = 45.0, trans_max: float = 0.
     return RigidTransform.from_euler(EulerAnglesDeg(ax, ay, az), translation)
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense (len(a), len(b)) Euclidean distance matrix, via scipy's cdist.
-
-    The neighbour searches use it only below their k-d tree's reach and
-    for the rows the tree leaves tied.
-    """
-    return cdist(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
-
-def _dense_nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = pairwise_distances(queries, targets)
-    indices = np.argmin(d, axis=1)
-    return indices, d[np.arange(queries.shape[0]), indices]
-
-
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance between matching rows of two (M, 3) arrays, the squares
     summed in cdist's and cKDTree's order, so equal to theirs bit for bit."""
@@ -298,15 +292,36 @@ def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _tree_nearest(queries: np.ndarray, index: "NeighborIndex"):
-    """Nearest index and distance per row from the index's tree, plus the
-    second-nearest distance the two-neighbour query returns with them."""
-    dist, idx = index.tree.query(queries, k=2)
-    indices, dists = idx[:, 0], dist[:, 0]
-    tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
-    if tied.size:
-        indices[tied], dists[tied] = _dense_nearest(queries[tied], index.points)
-    return indices, dists, dist[:, 1]
+def tree_neighbors(queries: np.ndarray, points: np.ndarray, k: int, tree=None):
+    """Indices and distances, each (M, k), of the k nearest points to each
+    query row, ties in index order as a dense stable argsort gives them,
+    plus each row's (k+1)-th distance: a bound on every point not listed.
+
+    tree (points' cKDTree, built when not given) lists equal distances in
+    no set order: rows tied within their k are re-sorted by (distance,
+    index), rows whose k-th and (k+1)-th tie are rescanned with cdist, whose
+    distances equal the tree's bit for bit. The arrays are views of the
+    tree's (M, k+1) results, since numpy sums strided arrays of over 8192
+    entries in buffered chunks and callers' sums depend on the layout.
+    """
+    if tree is None:
+        tree = cKDTree(points)
+    dist, order = tree.query(queries, k + 1)
+    indices, dists, bound = order[:, :k], dist[:, :k], dist[:, k]
+    if k > 1:  # one column holds no tie; the check would slow ICP's k = 1 searches
+        tied = np.flatnonzero((dists[:, 1:] == dists[:, :-1]).any(axis=1))
+        if tied.size:
+            resort = np.lexsort((indices[tied], dists[tied]), axis=1)
+            indices[tied] = np.take_along_axis(indices[tied], resort, axis=1)
+    dense = np.flatnonzero(dists[:, -1] == bound)
+    if dense.size:
+        full, rows = cdist(queries[dense], points), np.arange(dense.size)
+        # argmin takes the first of equal minima: k passes, O(kN), sort stably.
+        for j in range(k):
+            indices[dense, j] = found = np.argmin(full, axis=1)
+            dists[dense, j] = full[rows, found]
+            full[rows, found] = np.inf
+    return indices, dists, bound
 
 
 def _keep_reach(second: np.ndarray) -> np.ndarray:
@@ -349,19 +364,14 @@ def nearest_neighbors(
     Ties resolve to the lowest target index, matching a plain linear scan
     bit for bit. target is a PointCloud, indexed for this call alone, or a
     NeighborIndex, reused as built. Targets of NN_TREE_MIN_POINTS points or
-    more are searched with their k-d tree, asking for two neighbours; a row
-    whose two distances are equal is rescanned densely so the tie still
-    goes to the lowest index. cKDTree's distances equal cdist's bit for
-    bit, so both paths return the same arrays. Non-finite queries raise
-    ValueError on either path.
+    more are searched by tree_neighbors with k = 1, which returns the same
+    arrays as the scan. Non-finite queries raise ValueError on either path.
 
-    When a tree-backed index searched a block of as many rows before, a
-    row keeps its remembered match without a tree search if its distance
-    to that match plus the distance it moved since the search stays below
-    that search's second-nearest distance, each term slackened by
-    _KEEP_SLACK: no other target point can then be as near. The result is
-    the one a fresh index gives, whatever the index's history; see
-    NeighborIndex for the memory and its thread-safety.
+    A row of a block as long as a tree-backed index's last one keeps its
+    remembered match without a tree search if its distance to that match
+    plus the distance it moved since stays below that search's
+    second-nearest distance, each slackened by _KEEP_SLACK: no other point
+    can then be as near. See NeighborIndex for the memory.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 3:
@@ -370,9 +380,12 @@ def nearest_neighbors(
         raise ValueError("queries contain non-finite values")
     index = target if isinstance(target, NeighborIndex) else NeighborIndex(target)
     if index.tree is None:
-        return _dense_nearest(q, index.points)
+        d = cdist(q, index.points)
+        indices = np.argmin(d, axis=1)
+        return indices, d[np.arange(len(q)), indices]
     if index._last is None or len(index._last[0]) != len(q):
-        indices, dists, second = _tree_nearest(q, index)
+        found, near, second = tree_neighbors(q, index.points, 1, index.tree)
+        indices, dists = found[:, 0], near[:, 0]
         index._last = (q.copy(), indices.copy(), _keep_reach(second))
         return indices, dists
     positions, matches, reach = index._last
@@ -386,7 +399,8 @@ def nearest_neighbors(
     indices = matches.copy()
     if stale.size:
         moved = q[stale]
-        indices[stale], dists[stale], second = _tree_nearest(moved, index)
+        found, near, second = tree_neighbors(moved, index.points, 1, index.tree)
+        indices[stale], dists[stale] = found[:, 0], near[:, 0]
         positions[stale] = moved
         matches[stale] = indices[stale]
         reach[stale] = _keep_reach(second)

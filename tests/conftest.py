@@ -33,8 +33,8 @@ def criterion():
 
 @pytest.fixture
 def tree_builds(monkeypatch):
-    """Target sizes of the k-d trees nearest_neighbors and NeighborIndex
-    build, in order."""
+    """Target sizes of the k-d trees geometry builds (for NeighborIndex,
+    nearest_neighbors and tree_neighbors), in order."""
     from ogmm import geometry
 
     sizes = []
@@ -50,8 +50,8 @@ def tree_builds(monkeypatch):
 
 @pytest.fixture
 def tree_query_rows(monkeypatch):
-    """Row counts of the query blocks sent to the k-d trees that
-    nearest_neighbors and NeighborIndex build, in order."""
+    """Row counts of the query blocks sent to the k-d trees geometry
+    builds, in order."""
     from ogmm import geometry
 
     rows = []

@@ -172,16 +172,31 @@ class TestConfigHandling:
             ({"cluster_counts": "8"}, "cluster_counts must be a list"),
             ({"cluster_counts": 8}, "cluster_counts must be a list"),
             ({"register": {"k_neighbors": 0}}, "k_neighbors must be at least 1"),
+            ({"noise_sigma": True}, "noise_sigma must be a number"),
+            ({"overlap_fractions": [True]}, "an overlap fraction must be a number"),
+            ({"overlap_fractions": ["0.7"]}, "an overlap fraction must be a number"),
+            ({"density_keep": "0.5"}, "density_keep must be a number"),
+            ({"overlap_fractions": [0.7, 0.7]}, "overlap_fractions must list distinct values"),
+            ({"overlap_fractions": [1, 1.0]}, "overlap_fractions must list distinct values"),
+            ({"cluster_counts": [8, 8]}, "cluster_counts must list distinct values"),
+            ({"methods": ["icp", "icp"]}, "methods must list distinct values"),
         ],
         ids=["noise_sigma-nan", "noise_sigma-inf", "density_keep-nan", "methods-str",
              "methods-object", "overlap_fractions-str", "overlap_fractions-float",
-             "cluster_counts-str", "cluster_counts-int", "register-k_neighbors-0"],
+             "cluster_counts-str", "cluster_counts-int", "register-k_neighbors-0",
+             "noise_sigma-bool", "overlap_fractions-bool", "overlap_fractions-str-item",
+             "density_keep-str", "overlap_fractions-repeat", "overlap_fractions-repeat-int",
+             "cluster_counts-repeat", "methods-repeat"],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, data, fragment):
         # A non-finite noise level would run unjittered or fully clamped, and a
         # string or an object would be read as the list of its characters or
         # keys; all are refused, under the config's own key names. A zero
         # neighbourhood would leave every ogmm row invalid in a run that exits 0.
+        # A bool or a string where a number belongs would run as 1.0 or as
+        # the number it spells, or fail naming no key. A repeated sweep value
+        # would merge two cells in the summary, and a repeated method would
+        # write two rows per trial.
         config = write_config(tmp_path, data)
         code = main([
             "bench", "--profile", "desk", "--config", str(config),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ogmm.geometry import (
     NN_TREE_MIN_POINTS,
@@ -17,9 +18,9 @@ from ogmm.geometry import (
     kabsch_rotation,
     matrix_to_euler,
     nearest_neighbors,
-    pairwise_distances,
     random_transform,
     transform_points,
+    tree_neighbors,
 )
 from test_clustering import reference_farthest_point_sample
 
@@ -34,7 +35,7 @@ def reference_nearest_neighbors(queries: np.ndarray, target: PointCloud):
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 3:
         raise ValueError(f"queries must have shape (M, 3), got {q.shape}")
-    d = pairwise_distances(q, target.points)
+    d = cdist(q, target.points)
     indices = np.argmin(d, axis=1)
     return indices, d[np.arange(q.shape[0]), indices]
 
@@ -124,6 +125,13 @@ class TestEulerConversions:
         e = matrix_to_euler(r)
         assert e.rx == 0.0
         np.testing.assert_allclose(euler_to_matrix(e), r, atol=1e-10)
+
+    @pytest.mark.parametrize("angles", [(180.0, 0.0, 0.0), (0.0, 0.0, 180.0)])
+    def test_half_turn_reads_back_as_plus_180(self, angles):
+        # The inverse's sine term rounds to a tiny negative, where arctan2
+        # gives -pi.
+        t = invert(RigidTransform.from_euler(EulerAnglesDeg(*angles)))
+        np.testing.assert_allclose(t.euler_angles().as_array(), angles, atol=1e-12)
 
     def test_angle_range_validation(self):
         with pytest.raises(ValueError):
@@ -309,11 +317,54 @@ class TestNearestNeighbor:
         idx, _ = nearest_neighbors(np.array([[1.0, 0, 0]]), target)
         assert idx[0] == 0
 
-    def test_pairwise_distances_symmetric_zero_diagonal(self):
-        pts = np.random.default_rng(2).normal(size=(15, 3))
-        d = pairwise_distances(pts, pts)
-        np.testing.assert_allclose(d, d.T, atol=1e-12)
-        assert np.all(np.diag(d) == 0.0)
+
+class TestTreeNeighbors:
+    """tree_neighbors must return each row's first k entries of the dense
+    stable argsort, bit for bit, and the (k+1)-th distance as its bound."""
+
+    @staticmethod
+    def assert_matches_stable_argsort(queries, points, k, tree=None):
+        full = cdist(queries, points)
+        order = np.argsort(full, axis=1, kind="stable")
+        idx, dist, bound = tree_neighbors(queries, points, k, tree)
+        np.testing.assert_array_equal(idx, order[:, :k])
+        np.testing.assert_array_equal(dist, np.take_along_axis(full, order[:, :k], axis=1))
+        np.testing.assert_array_equal(bound, full[np.arange(len(full)), order[:, k]])
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 7, 19])
+    def test_lattice_ties_inside_and_across_the_kth_neighbour(self, k):
+        # Queried on itself, an interior lattice point lists itself at 0,
+        # then 6 points at 1, 12 at sqrt 2 and 8 at sqrt 3; a half-offset
+        # query sits between 8 or 4 nearest points. So these k cut through
+        # tied shells, inside the k and across the k-th neighbour.
+        points = shuffled_lattice(3)
+        inner = points[np.all(points < 7.0, axis=1)]
+        for queries in (points, inner + 0.5, inner + np.array([0.5, 0.5, 0.0])):
+            self.assert_matches_stable_argsort(queries, points, k)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_duplicated_points(self, k):
+        rng = np.random.default_rng(k)
+        base = rng.normal(size=(40, 3))
+        points = np.concatenate([base, base, base[:5], base[:5]])[rng.permutation(90)]
+        self.assert_matches_stable_argsort(points, points, k)
+        self.assert_matches_stable_argsort(base + 0.01 * rng.normal(size=base.shape), points, k)
+
+    def test_given_tree_is_used_as_built(self, tree_builds):
+        points = np.random.default_rng(4).normal(size=(200, 3))
+        index = NeighborIndex(PointCloud(np.concatenate([points, points])))
+        queries = np.random.default_rng(5).normal(size=(50, 3))
+        self.assert_matches_stable_argsort(queries, index.points, 3, index.tree)
+        assert tree_builds == [400]
+
+    def test_results_are_views_of_one_tree_result(self):
+        # Callers reduce these arrays; a copy would change numpy's
+        # summation order past 8192 rows and so move the last bit.
+        points = np.random.default_rng(6).normal(size=(100, 3))
+        idx, dist, bound = tree_neighbors(points, points, 4)
+        assert dist.base is not None and dist.base is bound.base
+        assert dist.strides == (5 * dist.itemsize, dist.itemsize)
+        assert idx.strides == (5 * idx.itemsize, idx.itemsize)
 
 
 def history_start(kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +435,7 @@ class TestNearestNeighborTree:
         target = PointCloud(points)
         queries = points[np.all(points < 7.0, axis=1)] + np.array(offset)
         idx, dist = nearest_neighbors(queries, target)
-        tied = np.sum(pairwise_distances(queries, points) == dist[:, None], axis=1)
+        tied = np.sum(cdist(queries, points) == dist[:, None], axis=1)
         assert np.all(tied == 2 ** int(np.count_nonzero(offset)))
         assert_matches_dense_scan(queries, target)
         assert tree_builds == [512] * 3

@@ -6,6 +6,7 @@ from ogmm.geometry import (
     PointCloud,
     RigidTransform,
     axis_angle_matrix,
+    invert,
     random_transform,
 )
 from ogmm.metrics import (
@@ -44,6 +45,14 @@ class TestMaeRotation:
     def test_symmetric(self):
         a, b = random_transform(1), random_transform(2)
         assert mae_rotation(a, b) == mae_rotation(b, a)
+
+    @pytest.mark.parametrize("angles", [(180.0, 0.0, 0.0), (0.0, 0.0, 180.0)])
+    def test_half_turn_estimates_are_scored(self, angles):
+        # An estimate whose Euler extraction meets arctan2's -pi must score,
+        # not raise, or one such pair would abort a bench run.
+        est = invert(RigidTransform.from_euler(EulerAnglesDeg(*angles)))
+        assert mae_rotation(est, RigidTransform.identity()) == pytest.approx(60.0, abs=1e-9)
+        assert not near_gimbal_lock(est)
 
 
 class TestMaeTranslation:

@@ -27,3 +27,29 @@ def test_no_module_imports_another_modules_private_names():
     assert paths
     found = [entry for path in paths for entry in private_imports(path)]
     assert not found, found
+
+
+def kd_tree_imports(path: Path) -> list:
+    """Each import of scipy's k-d tree class in the module at path, as
+    "file:line name"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("cKDTree", "KDTree")
+    ]
+
+
+def test_only_geometry_imports_the_kd_tree():
+    """geometry.tree_neighbors is the one k-d tree search and holds the one
+    tie rule; a tree built elsewhere would need a second copy of it."""
+    found = [
+        entry
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "geometry.py"
+        for entry in kd_tree_imports(path)
+    ]
+    assert not found, found
+    assert kd_tree_imports(SRC / "geometry.py")
