@@ -18,7 +18,6 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    axis_angle_matrix,
     compose,
     euler_to_matrix,
     farthest_point_sample,

@@ -64,11 +64,6 @@ class AttentionMlp:
         rng = np.random.default_rng(seed)
         return cls(*(_xavier(rng, d, d, (d, d)) for _ in range(3)))
 
-    @classmethod
-    def zeros(cls, d: int) -> "AttentionMlp":
-        z = np.zeros((d, d))
-        return cls(z, z, z)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         h = np.maximum(instance_norm(x @ self.w1), 0.0)
         h = np.maximum(instance_norm(h @ self.w2), 0.0)

@@ -54,13 +54,6 @@ class SeededMlp:
             self.weights.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
             self.biases.append(rng.uniform(-a, a, size=fan_out))
 
-    @classmethod
-    def zeros(cls, dims) -> "SeededMlp":
-        mlp = cls(dims, seed=0)
-        mlp.weights = [np.zeros_like(w) for w in mlp.weights]
-        mlp.biases = [np.zeros_like(b) for b in mlp.biases]
-        return mlp
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.dims[0]:

@@ -17,10 +17,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 ROTATION_ORTHO_TOL = 1e-9
+# The largest |coordinate| a PointCloud (and read_cloud) accepts: points
+# within it lie under 2 * sqrt(3) * 1e150 apart, a square of about 1.2e301.
+COORDINATE_BOUND = 1e150
 # Target size from which a NeighborIndex holds a k-d tree and
 # nearest_neighbors searches it instead of a dense distance matrix: the
 # crossover measured at N = M, with the tree built inside each call, on
@@ -56,6 +60,8 @@ NN_TREE_MIN_POINTS = 320
 _KEEP_SLACK = 1e-12
 _KEEP_RANGE = (1e-100, 1e100)
 _DEG = 180.0 / np.pi
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
 class DegenerateGeometryError(ValueError):
@@ -78,10 +84,10 @@ def as_real(value, name: str, error: type = ValueError) -> float:
 
 
 def _as_float_array(values, name: str, shape: tuple) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64, order="C")
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -154,11 +160,13 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = _as_float_array(self.rotation, "rotation", (3, 3)).copy()
-        t = _as_float_array(self.translation, "translation", (3,)).copy()
-        if np.max(np.abs(r.T @ r - np.eye(3))) > ROTATION_ORTHO_TOL:
+        r = _as_float_array(self.rotation, "rotation", (3, 3))
+        t = _as_float_array(self.translation, "translation", (3,))
+        gram = r.T @ r
+        gram -= _IDENTITY
+        if np.abs(gram, out=gram).max() > ROTATION_ORTHO_TOL:
             raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > ROTATION_ORTHO_TOL:
+        if abs(_umath_linalg.det(r, signature="d->d") - 1.0) > ROTATION_ORTHO_TOL:
             raise ValueError("rotation determinant differs from +1")
         r.flags.writeable = False
         t.flags.writeable = False
@@ -184,22 +192,6 @@ class RigidTransform:
         return m
 
 
-def axis_angle_matrix(axis, angle_deg: float) -> np.ndarray:
-    """Rotation about an arbitrary axis via the Rodrigues formula."""
-    u = np.asarray(axis, dtype=np.float64)
-    norm = np.linalg.norm(u)
-    if norm <= 0.0 or not np.isfinite(norm):
-        raise ValueError("axis must be a nonzero finite vector")
-    u = u / norm
-    theta = np.radians(angle_deg)
-    k = np.array([
-        [0.0, -u[2], u[1]],
-        [u[2], 0.0, -u[0]],
-        [-u[1], u[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """An ordered set of 3D points. Per-point features travel beside the
@@ -213,8 +205,10 @@ class PointCloud:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
         if pts.shape[0] < 1:
             raise ValueError("point cloud must contain at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite values")
+        if not np.abs(pts).max() <= COORDINATE_BOUND:  # NaN fails this too
+            if not np.isfinite(pts).all():
+                raise ValueError("points contain non-finite values")
+            raise ValueError(f"points exceed the coordinate bound {COORDINATE_BOUND:g}")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -242,11 +236,16 @@ def kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The sign flip on the last singular direction rules out reflections.
     The one Kabsch core: the mixture solve, ICP's row-matched solve and
-    compose's re-orthonormalization all go through it.
+    compose's re-orthonormalization all go through it, and no other
+    function in the package computes an SVD. Raises LinAlgError where
+    np.linalg.svd does.
     """
     u, s, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T, s
+    ut = u.T
+    # V diag(1, 1, d) U^T, 0 and NaN d included, by scaling V's last column
+    # (vt's last row); d's determinant is np.linalg.det's gufunc, unwrapped.
+    vt[2] *= np.sign(_umath_linalg.det(vt.T @ ut, signature="d->d"))
+    return vt.T @ ut, s
 
 
 def compose(second: RigidTransform, first: RigidTransform) -> RigidTransform:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    COORDINATE_BOUND,
     PointCloud,
     RigidTransform,
     apply_transform,
@@ -60,8 +61,9 @@ def _cloud_format(path: str, error: type) -> str:
 def read_cloud(path) -> PointCloud:
     """Load a cloud from an .xyz or ASCII .ply file, by its extension.
 
-    Parse failures, including a non-ASCII byte and a nan or inf coordinate,
-    raise CloudParseError with the offending line.
+    Parse failures, including a non-ASCII byte, a nan or inf coordinate and
+    one beyond geometry.COORDINATE_BOUND in magnitude, raise CloudParseError
+    with the offending line.
     """
     path = str(path)
     if _cloud_format(path, CloudParseError) == "xyz":
@@ -86,6 +88,8 @@ def _coordinates(tokens: list, path: str, lineno: int) -> list:
         raise _parse_error(path, lineno, f"non-numeric coordinate in {tokens}") from None
     if not all(map(math.isfinite, point)):
         raise _parse_error(path, lineno, f"non-finite coordinate in {tokens}")
+    if max(map(abs, point)) > COORDINATE_BOUND:
+        raise _parse_error(path, lineno, f"coordinate beyond {COORDINATE_BOUND:g} in {tokens}")
     return point
 
 

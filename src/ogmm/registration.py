@@ -344,7 +344,9 @@ def register(
 def _paired_kabsch(centred: np.ndarray, centroid: np.ndarray, b: np.ndarray) -> RigidTransform:
     """Least-squares rigid motion for row-matched point sets, the first
     given as its centroid and its rows minus that centroid."""
-    cb = np.add.reduce(b, axis=0)  # b.mean(axis=0), as mean computes it
+    # b.mean(axis=0) bit for bit: both add the rows in sequence, but
+    # accumulate in one pass per column, not one call per 3-wide row.
+    cb = np.add.accumulate(b, axis=0)[-1]
     cb /= len(b)
     rotation, _ = kabsch_rotation(centred.T @ (b - cb))
     return RigidTransform(rotation, cb - rotation @ centroid)

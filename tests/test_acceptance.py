@@ -29,7 +29,6 @@ from ogmm.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    axis_angle_matrix,
     random_transform,
 )
 from ogmm.io import PairSpec, gt_overlap_labels, make_pair, sample_shape
@@ -43,6 +42,8 @@ from ogmm.metrics import mae_rotation, mae_translation
 from ogmm.mixture import estimate_gmm, weighted_svd
 from ogmm.registration import RegisterConfig, register
 from ogmm.transport import sinkhorn
+
+from constructors import axis_angle_matrix
 
 GUIDED_SEEDS = range(20)
 GUIDED_N = 512

@@ -13,6 +13,8 @@ from ogmm.attention import (
 )
 from ogmm.clustering import cluster_means
 
+from constructors import zero_attention_mlp
+
 
 def random_labels(n, j, seed):
     """n cluster labels in [0, j), every cluster used."""
@@ -109,7 +111,7 @@ class TestResidualGuarantees:
         f = rng.normal(size=(10, 8))
         w = AttentionWeights.seeded(8, heads=2, seed=0)
         w.wv = np.zeros_like(w.wv)
-        w.mlp = AttentionMlp.zeros(8)
+        w.mlp = zero_attention_mlp(8)
         np.testing.assert_array_equal(clustered_self_attention(f, random_labels(10, 3, 0), w), f)
         np.testing.assert_array_equal(full_self_attention(f, w), f)
 
@@ -117,7 +119,7 @@ class TestResidualGuarantees:
         rng = np.random.default_rng(8)
         f = rng.normal(size=(6, 4))
         w = AttentionWeights.seeded(4, heads=1, seed=1)
-        w.mlp = AttentionMlp.zeros(4)
+        w.mlp = zero_attention_mlp(4)
         np.testing.assert_array_equal(full_self_attention(f, w), f)
 
     def test_zero_target_centroids_leave_queries_unchanged(self):

@@ -94,6 +94,28 @@ class TestRegisterCommand:
         assert error["kind"] == "io"
         assert f"{name}:{line}:" in error["message"]
 
+    @pytest.mark.parametrize(
+        "name, body, line",
+        [("huge.xyz", None, 1), ("huge.ply", PLY_HEADER + b"0 0 0\n1 -1e151 2\n", 9)],
+    )
+    def test_coordinates_beyond_the_bound_are_parse_errors(
+        self, tmp_path, capsys, name, body, line
+    ):
+        # Squared distances overflow past geometry.COORDINATE_BOUND; such a
+        # file is refused at its line (exit 2), not reported as a config
+        # error from deep in the pipeline.
+        if body is None:
+            points = sample_shape("composite", 96, seed=11).points * 1e300
+            body = "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in points).encode()
+        path = tmp_path / name
+        path.write_bytes(body)
+        code = main(["register", str(path), str(path), "--profile", "desk"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "io"
+        assert f"{name}:{line}:" in error["message"]
+        assert "1e+150" in error["message"]
+
     def test_cloud_too_small_for_profile_is_config_error(self, cloud_file, capsys):
         # paper profile wants 72 geometric clusters; 96 points pass, but a
         # desk-sized cloud under the paper profile must fail loudly.

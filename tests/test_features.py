@@ -13,6 +13,8 @@ from ogmm.geometry import PointCloud, apply_transform, random_transform
 from ogmm.io import sample_shape
 from ogmm.registration import RegisterConfig, register
 
+from constructors import zero_seeded_mlp
+
 
 class TestSeededMlp:
     def test_same_seed_same_function(self):
@@ -28,7 +30,7 @@ class TestSeededMlp:
         assert not np.array_equal(a, b)
 
     def test_zero_network_maps_to_zero(self):
-        mlp = SeededMlp.zeros([3, 5, 2])
+        mlp = zero_seeded_mlp([3, 5, 2])
         x = np.random.default_rng(2).normal(size=(7, 3))
         np.testing.assert_array_equal(mlp(x), np.zeros((7, 2)))
 

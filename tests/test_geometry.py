@@ -3,14 +3,15 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from ogmm.geometry import (
+    COORDINATE_BOUND,
     NN_TREE_MIN_POINTS,
+    ROTATION_ORTHO_TOL,
     DegenerateGeometryError,
     EulerAnglesDeg,
     NeighborIndex,
     PointCloud,
     RigidTransform,
     apply_transform,
-    axis_angle_matrix,
     compose,
     euler_to_matrix,
     farthest_point_sample,
@@ -22,11 +23,55 @@ from ogmm.geometry import (
     transform_points,
     tree_neighbors,
 )
+from ogmm.io import sample_shape
+
+from constructors import axis_angle_matrix
 from test_clustering import reference_farthest_point_sample
 
 
 def random_rigid(seed):
     return random_transform(seed, rot_max_deg=179.0, trans_max=2.0)
+
+
+def reference_kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`kabsch_rotation` as it was before it scaled V's last column in place
+    of multiplying by diag(1, 1, d), kept verbatim as the oracle its
+    rotation and singular values must match bit for bit."""
+    u, s, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T, s
+
+
+def reference_as_float_array(values, name: str, shape: tuple) -> np.ndarray:
+    """geometry's `_as_float_array` as it was before it copied, verbatim."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
+def reference_rigid_checks(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
+    """`RigidTransform.__post_init__`'s checks as they were before they
+    dropped their temporaries, kept verbatim: the arrays a transform
+    stores, or the ValueError it raises."""
+    r = reference_as_float_array(rotation, "rotation", (3, 3)).copy()
+    t = reference_as_float_array(translation, "translation", (3,)).copy()
+    if np.max(np.abs(r.T @ r - np.eye(3))) > ROTATION_ORTHO_TOL:
+        raise ValueError("rotation is not orthonormal within 1e-9")
+    if abs(np.linalg.det(r) - 1.0) > ROTATION_ORTHO_TOL:
+        raise ValueError("rotation determinant differs from +1")
+    return r, t
+
+
+def assert_same_kabsch(h: np.ndarray) -> None:
+    """kabsch_rotation(h) equals the reference's rotation and singular
+    values byte for byte."""
+    rotation, s = kabsch_rotation(h.copy())
+    want_rotation, want_s = reference_kabsch_rotation(h.copy())
+    assert rotation.tobytes() == want_rotation.tobytes()
+    assert s.tobytes() == want_s.tobytes()
 
 
 def reference_nearest_neighbors(queries: np.ndarray, target: PointCloud):
@@ -231,6 +276,75 @@ class TestRigidTransform:
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-14)
 
 
+class TestRigidCoreMatchesTheReference:
+    def test_random_cross_moments_of_both_signs(self):
+        rng = np.random.default_rng(11)
+        signs = set()
+        for _ in range(400):
+            h = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+            signs.add(np.sign(np.linalg.det(h)))
+            assert_same_kabsch(h)
+        assert signs == {-1.0, 1.0}
+
+    def test_rank_deficient_and_zero_cross_moments(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            assert_same_kabsch(np.outer(rng.normal(size=3), rng.normal(size=3)))
+            planar = rng.normal(size=(8, 3)) * [1.0, 1.0, 0.0]
+            assert_same_kabsch(planar.T @ rng.normal(size=(8, 3)))
+        for h in (np.zeros((3, 3)), np.diag([3.0, 2.0, -1.0]), -np.eye(3), np.eye(3)):
+            assert_same_kabsch(h)
+
+    def test_raises_linalg_error_where_svd_does(self):
+        h = np.eye(3)
+        h[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            reference_kabsch_rotation(h)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            kabsch_rotation(h)
+        assert str(got.value) == str(want.value)
+
+    def test_transform_checks_keep_their_order_and_messages(self):
+        rotation = random_rigid(3).rotation
+        nan_rotation = rotation.copy()
+        nan_rotation[1, 2] = np.nan
+        skew = np.eye(3)
+        skew[0, 0] = 1.0 + 1e-6
+        cases = [
+            (rotation, np.ones(3)),
+            (rotation.T, [1, 2, 3]),
+            (rotation.tolist(), (0.5, -0.5, 2.0)),
+            (np.eye(3, dtype=int), np.zeros(3, dtype=int)),
+            (np.diag([1.0 + 4e-10, 1.0, 1.0]), np.zeros(3)),
+            (np.eye(2), np.zeros(3)),
+            (nan_rotation, np.zeros(3)),
+            (np.full((3, 3), np.inf), np.zeros(3)),
+            (rotation, np.zeros(4)),
+            (rotation, [0.0, np.inf, 0.0]),
+            (skew, np.zeros(3)),
+            (np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
+            # Two failures at once: the earlier check names the problem.
+            (np.eye(2), [np.nan, 0.0, 0.0]),
+            (nan_rotation, np.zeros(2)),
+            (skew, [0.0, 0.0, np.nan]),
+            (np.diag([1.0, 1.0, -1.0]), np.zeros((3, 1))),
+            (np.diag([1.0, 1.0, -1.1]), np.zeros(3)),
+            ("abc", np.zeros(3)),
+        ]
+        for rotation_in, translation_in in cases:
+            try:
+                want = reference_rigid_checks(rotation_in, translation_in)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    RigidTransform(rotation_in, translation_in)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc)
+                continue
+            transform = RigidTransform(rotation_in, translation_in)
+            for stored, expected in zip((transform.rotation, transform.translation), want):
+                assert stored.tobytes() == expected.tobytes()
+                assert stored.flags.c_contiguous and not stored.flags.writeable
+
+
 class TestRandomTransform:
     def test_deterministic_per_seed(self):
         a = random_transform(123)
@@ -277,6 +391,24 @@ class TestPointCloud:
         pts = np.zeros((3, 3))
         pts[1, 1] = np.nan
         with pytest.raises(ValueError):
+            PointCloud(pts)
+
+    def test_coordinates_beyond_the_bound_rejected(self):
+        # Squared distances overflow past the bound: a 200-point cloud at
+        # 1e155 used to fail deep in the descriptor's k-NN instead.
+        cloud = sample_shape("composite", 200, seed=1).points
+        with pytest.raises(ValueError, match="coordinate bound 1e\\+150"):
+            PointCloud(cloud * 1e155)
+        for value in (np.nextafter(COORDINATE_BOUND, np.inf), -1e300):
+            pts = np.zeros((3, 3))
+            pts[2, 0] = value
+            with pytest.raises(ValueError, match="coordinate bound"):
+                PointCloud(pts)
+        pts = np.zeros((3, 3))
+        pts[0] = [COORDINATE_BOUND, -COORDINATE_BOUND, 1.0]
+        assert np.array_equal(PointCloud(pts).points, pts)
+        pts[1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
             PointCloud(pts)
 
     def test_points_are_frozen_copies(self):

@@ -5,7 +5,6 @@ from ogmm.geometry import (
     EulerAnglesDeg,
     PointCloud,
     RigidTransform,
-    axis_angle_matrix,
     invert,
     random_transform,
 )
@@ -16,6 +15,8 @@ from ogmm.metrics import (
     mae_translation,
     near_gimbal_lock,
 )
+
+from constructors import axis_angle_matrix
 
 
 def euler_zyx_oracle(r):

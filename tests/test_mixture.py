@@ -6,7 +6,6 @@ from ogmm.clustering import SoftAssignment, soft_assignment
 from ogmm.geometry import (
     DegenerateGeometryError,
     PointCloud,
-    axis_angle_matrix,
     random_transform,
     transform_points,
     RigidTransform,
@@ -21,6 +20,8 @@ from ogmm.mixture import (
     weighted_svd,
 )
 from ogmm.transport import sinkhorn
+
+from constructors import axis_angle_matrix
 
 
 def brute_force_moments(points, features, scores, overlap):

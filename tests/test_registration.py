@@ -13,6 +13,7 @@ import ogmm
 from ogmm.bench import BenchConfig
 from ogmm.clustering import SINKHORN_TOL
 from ogmm.geometry import (
+    COORDINATE_BOUND,
     NN_TREE_MIN_POINTS,
     DegenerateGeometryError,
     EulerAnglesDeg,
@@ -36,6 +37,8 @@ from ogmm.registration import (
     icp_baseline,
     register,
 )
+
+from test_geometry import assert_same_kabsch, reference_kabsch_rotation
 
 DESK = RegisterConfig.desk()
 
@@ -468,10 +471,11 @@ def test_downstream_stages_recover_the_motion_from_features_that_carry_signal(mo
 
 def reference_paired_kabsch(a: np.ndarray, b: np.ndarray) -> RigidTransform:
     """`_paired_kabsch` as it was before ICP centred its source once per
-    call, kept verbatim for `reference_icp`."""
+    call, kept verbatim for `reference_icp` but for its Kabsch core, the
+    reference one, so a change to the live core shows here too."""
     ca = a.mean(axis=0)
     cb = b.mean(axis=0)
-    rotation, _ = kabsch_rotation((a - ca).T @ (b - cb))
+    rotation, _ = reference_kabsch_rotation((a - ca).T @ (b - cb))
     return RigidTransform(rotation, cb - rotation @ ca)
 
 
@@ -555,6 +559,43 @@ class TestIcpBaseline:
             assert diagnostics == want_diagnostics
             if budget is not None:
                 assert diagnostics["iterations"] <= 1
+
+    def test_every_cross_moment_solves_as_the_reference_does(self, monkeypatch):
+        """The Kabsch core gives the reference's rotation and singular
+        values byte for byte on the cross-moment of every iteration of
+        every oracle pair."""
+        moments = []
+
+        def recording(h):
+            moments.append(h.copy())
+            return kabsch_rotation(h)
+
+        monkeypatch.setattr(registration, "kabsch_rotation", recording)
+        for kind in ("tree", "desk", "lattice", "rejected-step"):
+            for source, target in _icp_oracle_pairs(kind):
+                icp_baseline(source, target)
+        assert len(moments) > 100
+        for h in moments:
+            assert_same_kabsch(h)
+
+    def test_runs_on_clouds_at_the_coordinate_bound(self):
+        """A pair scaled until its largest |coordinate| is the bound
+        registers and aligns as the unscaled pair does, with no floating
+        warning: squares of coordinates up to the bound stay finite."""
+        pair = make_pair(PairSpec(n_points=256, seed=3))
+        scale = COORDINATE_BOUND / max(np.abs(pair.source.points).max(),
+                                       np.abs(pair.target.points).max())
+        source = PointCloud(pair.source.points * scale)
+        target = PointCloud(pair.target.points * scale)
+        assert max(np.abs(source.points).max(), np.abs(target.points).max()) == COORDINATE_BOUND
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            scaled = register(source, target, DESK)
+            icp, diagnostics = icp_baseline(source, target, return_diagnostics=True)
+        unscaled = register(pair.source, pair.target, DESK)
+        assert geodesic_rotation_deg(scaled.transform, unscaled.transform) <= 1e-6
+        assert diagnostics["converged"]
+        assert geodesic_rotation_deg(icp, icp_baseline(pair.source, pair.target)) <= 1e-4
+        assert np.all(np.isfinite(icp.translation))
 
     @pytest.mark.parametrize("n", [NN_TREE_MIN_POINTS - 1, 512])
     def test_builds_one_tree_per_call(self, tree_builds, n):
