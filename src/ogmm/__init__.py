@@ -18,7 +18,6 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    compose,
     euler_to_matrix,
     farthest_point_sample,
     invert,
@@ -40,7 +39,7 @@ from .io import (
     write_cloud,
 )
 from .bench import BenchConfig, BenchConfigError, genpairs, report, run_bench
-from .losses import binary_cross_entropy, gradient_check, overlap_score_loss, welsch
+from .losses import binary_cross_entropy, overlap_score_loss, welsch
 from .metrics import ccd, geodesic_rotation_deg, mae_rotation, mae_translation, near_gimbal_lock
 from .mixture import WeightedGmm, estimate_gmm, match_components, weighted_svd
 from .registration import RegisterConfig, RegistrationResult, icp_baseline, register

@@ -59,6 +59,10 @@ NN_TREE_MIN_POINTS = 320
 # where squares underflow or overflow.
 _KEEP_SLACK = 1e-12
 _KEEP_RANGE = (1e-100, 1e100)
+# Entries of one block of tree_neighbors' tie rescan (8 MB of distances):
+# a lattice cloud sends most of its rows there, and one matrix for all of
+# them grows with the square of the cloud (96 MB at 16^3 points, k = 5).
+_RESCAN_ENTRIES = 1 << 20
 _DEG = 180.0 / np.pi
 _IDENTITY = np.eye(3)
 _IDENTITY.flags.writeable = False
@@ -184,13 +188,6 @@ class RigidTransform:
     def euler_angles(self) -> EulerAnglesDeg:
         return matrix_to_euler(self.rotation)
 
-    def matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 form, useful for composing with external tools."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -235,28 +232,19 @@ def kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     plus the singular values of h (for the caller's degeneracy checks).
 
     The sign flip on the last singular direction rules out reflections.
-    The one Kabsch core: the mixture solve, ICP's row-matched solve and
-    compose's re-orthonormalization all go through it, and no other
-    function in the package computes an SVD. Raises LinAlgError where
-    np.linalg.svd does.
+    The one Kabsch core: the mixture solve and ICP's row-matched solve both
+    go through it, and no other function in the package computes an SVD.
+    Raises LinAlgError where np.linalg.svd does, and with the same message
+    on any non-finite h, on which the SVD may never return.
     """
+    if not np.isfinite(h).all():
+        raise np.linalg.LinAlgError("SVD did not converge")
     u, s, vt = np.linalg.svd(h)
     ut = u.T
     # V diag(1, 1, d) U^T, 0 and NaN d included, by scaling V's last column
     # (vt's last row); d's determinant is np.linalg.det's gufunc, unwrapped.
     vt[2] *= np.sign(_umath_linalg.det(vt.T @ ut, signature="d->d"))
     return vt.T @ ut, s
-
-
-def compose(second: RigidTransform, first: RigidTransform) -> RigidTransform:
-    """The transform equivalent to applying `first`, then `second`."""
-    rotation = second.rotation @ first.rotation
-    translation = second.rotation @ first.translation + second.translation
-    # Project M back onto the rotations, so long chains cannot drift past
-    # the constructor's orthonormality gate: the nearest rotation maximizes
-    # trace(R^T M) = trace(R M^T), a Kabsch solve with h = M^T.
-    rotation, _ = kabsch_rotation(rotation.T)
-    return RigidTransform(rotation, translation)
 
 
 def invert(transform: RigidTransform) -> RigidTransform:
@@ -299,7 +287,8 @@ def tree_neighbors(queries: np.ndarray, points: np.ndarray, k: int, tree=None):
     tree (points' cKDTree, built when not given) lists equal distances in
     no set order: rows tied within their k are re-sorted by (distance,
     index), rows whose k-th and (k+1)-th tie are rescanned with cdist, whose
-    distances equal the tree's bit for bit. The arrays are views of the
+    distances equal the tree's bit for bit, in row blocks of at most
+    _RESCAN_ENTRIES distances (or one row). The arrays are views of the
     tree's (M, k+1) results, since numpy sums strided arrays of over 8192
     entries in buffered chunks and callers' sums depend on the layout.
     """
@@ -313,12 +302,14 @@ def tree_neighbors(queries: np.ndarray, points: np.ndarray, k: int, tree=None):
             resort = np.lexsort((indices[tied], dists[tied]), axis=1)
             indices[tied] = np.take_along_axis(indices[tied], resort, axis=1)
     dense = np.flatnonzero(dists[:, -1] == bound)
-    if dense.size:
-        full, rows = cdist(queries[dense], points), np.arange(dense.size)
+    step = max(1, _RESCAN_ENTRIES // len(points))
+    for start in range(0, dense.size, step):
+        block = dense[start : start + step]
+        full, rows = cdist(queries[block], points), np.arange(block.size)
         # argmin takes the first of equal minima: k passes, O(kN), sort stably.
         for j in range(k):
-            indices[dense, j] = found = np.argmin(full, axis=1)
-            dists[dense, j] = full[rows, found]
+            indices[block, j] = found = np.argmin(full, axis=1)
+            dists[block, j] = full[rows, found]
             full[rows, found] = np.inf
     return indices, dists, bound
 

@@ -2,8 +2,8 @@
 
 These mirror the quantities a training run would minimize, but here they
 only grade a finished registration, so everything is a plain evaluable
-function with a hand-written derivative and a finite-difference checker
-to hold it to.
+function; the Welsch penalty and the cross-entropy also have hand-written
+derivatives, which the tests hold to central differences.
 """
 
 from __future__ import annotations
@@ -62,27 +62,3 @@ def overlap_score_loss(predicted_p, labels_p, predicted_q, labels_q) -> float:
         binary_cross_entropy(predicted_p, labels_p)
         + binary_cross_entropy(predicted_q, labels_q)
     )
-
-
-def gradient_check(fn, point, analytic_grad, h: float = 1e-5) -> float:
-    """Max relative error between analytic_grad and central differences of fn.
-
-    The relative denominator is floored at 1 so near-zero gradients are
-    compared absolutely.
-    """
-    x = np.atleast_1d(np.asarray(point, dtype=np.float64))
-    analytic = np.atleast_1d(np.asarray(analytic_grad, dtype=np.float64))
-    if analytic.shape != x.shape:
-        raise ValueError("analytic_grad must match the point's shape")
-    worst = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        upper = np.asarray(fn(x + step), dtype=np.float64).reshape(-1)
-        lower = np.asarray(fn(x - step), dtype=np.float64).reshape(-1)
-        if upper.size != 1 or lower.size != 1:
-            raise ValueError("fn must return a scalar")
-        numeric = (upper[0] - lower[0]) / (2.0 * h)
-        scale = max(abs(numeric), abs(analytic[i]), 1.0)
-        worst = max(worst, abs(numeric - analytic[i]) / scale)
-    return worst

@@ -171,6 +171,8 @@ def weighted_svd(
     w = np.asarray(weights, dtype=np.float64)
     if mp.ndim != 2 or mp.shape[1] != 3 or mq.ndim != 2 or mq.shape[1] != 3:
         raise ValueError("means must be (L, 3) matrices")
+    if not (np.isfinite(mp).all() and np.isfinite(mq).all()):
+        raise ValueError("means must be finite")
     if w.shape != (mp.shape[0], mq.shape[0]):
         raise ValueError(
             f"weights must have shape ({mp.shape[0]}, {mq.shape[0]}), got {w.shape}"

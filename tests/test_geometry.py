@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from ogmm import geometry
 from ogmm.geometry import (
     COORDINATE_BOUND,
     NN_TREE_MIN_POINTS,
@@ -12,7 +19,6 @@ from ogmm.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    compose,
     euler_to_matrix,
     farthest_point_sample,
     invert,
@@ -63,6 +69,27 @@ def reference_rigid_checks(rotation, translation) -> tuple[np.ndarray, np.ndarra
     if abs(np.linalg.det(r) - 1.0) > ROTATION_ORTHO_TOL:
         raise ValueError("rotation determinant differs from +1")
     return r, t
+
+
+def raised_in_child(setup: str, calls: list) -> list:
+    """For each call expression, "Type: message" of what it raises, or
+    "returned", evaluated after `setup` in a fresh interpreter. A timeout
+    stops the child: np.linalg.svd may never return on an infinite entry."""
+    script = "\n".join([
+        setup,
+        f"for call in {calls!r}:",
+        "    try:",
+        "        eval(call)",
+        "        print('returned')",
+        "    except Exception as exc:",
+        "        print(f'{type(exc).__name__}: {exc}')",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(geometry.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def assert_same_kabsch(h: np.ndarray) -> None:
@@ -208,40 +235,12 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             t.rotation[0, 0] = 2.0
 
-    def test_compose_matches_homogeneous_matrix_product(self):
-        # Oracle: 4x4 homogeneous multiplication.
-        for seed in range(50):
-            a = random_rigid(seed)
-            b = random_rigid(seed + 1000)
-            c = compose(b, a)
-            np.testing.assert_allclose(c.matrix(), b.matrix() @ a.matrix(), atol=1e-12)
-
-    def test_compose_applies_first_then_second(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(40, 3))
-        cloud = PointCloud(pts)
-        for seed in range(20):
-            a = random_rigid(seed)
-            b = random_rigid(seed + 500)
-            via_compose = apply_transform(compose(b, a), cloud)
-            via_steps = apply_transform(b, apply_transform(a, cloud))
-            np.testing.assert_allclose(via_compose.points, via_steps.points, atol=1e-12)
-
     def test_invert_round_trip(self):
         cloud = PointCloud(np.random.default_rng(4).normal(size=(30, 3)))
         for seed in range(30):
             t = random_rigid(seed)
             back = apply_transform(invert(t), apply_transform(t, cloud))
             np.testing.assert_allclose(back.points, cloud.points, atol=1e-12)
-            ident = compose(invert(t), t)
-            np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-12)
-            np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-12)
-
-    def test_long_composition_chain_stays_orthonormal(self):
-        t = RigidTransform.identity()
-        for seed in range(400):
-            t = compose(random_rigid(seed), t)
-        np.testing.assert_allclose(t.rotation.T @ t.rotation, np.eye(3), atol=1e-12)
 
     def test_kabsch_rotation_recovers_motion_and_refuses_reflections(self):
         rng = np.random.default_rng(5)
@@ -303,6 +302,21 @@ class TestRigidCoreMatchesTheReference:
         with pytest.raises(np.linalg.LinAlgError) as got:
             kabsch_rotation(h)
         assert str(got.value) == str(want.value)
+
+    def test_refuses_non_finite_cross_moments_at_once(self):
+        # An infinite entry used to reach np.linalg.svd, which never
+        # returned; NaN already raised. Both now raise svd's own error.
+        hs = [
+            "np.diag([np.inf, 1.0, 1.0])",
+            "np.full((3, 3), -np.inf)",
+            "np.diag([np.inf, np.nan, 1.0])",
+            "np.diag([1.0, 1.0, np.nan])",
+        ]
+        got = raised_in_child(
+            "import numpy as np\nfrom ogmm.geometry import kabsch_rotation",
+            [f"kabsch_rotation({h})" for h in hs],
+        )
+        assert got == ["LinAlgError: SVD did not converge"] * len(hs)
 
     def test_transform_checks_keep_their_order_and_messages(self):
         rotation = random_rigid(3).rotation
@@ -450,6 +464,27 @@ class TestNearestNeighbor:
         assert idx[0] == 0
 
 
+def reference_tree_neighbors(queries, points, k):
+    """`tree_neighbors` as it was before it rescanned ties in row blocks,
+    kept verbatim (one cdist over every tied row) as the oracle."""
+    tree = cKDTree(points)
+    dist, order = tree.query(queries, k + 1)
+    indices, dists, bound = order[:, :k], dist[:, :k], dist[:, k]
+    if k > 1:
+        tied = np.flatnonzero((dists[:, 1:] == dists[:, :-1]).any(axis=1))
+        if tied.size:
+            resort = np.lexsort((indices[tied], dists[tied]), axis=1)
+            indices[tied] = np.take_along_axis(indices[tied], resort, axis=1)
+    dense = np.flatnonzero(dists[:, -1] == bound)
+    if dense.size:
+        full, rows = cdist(queries[dense], points), np.arange(dense.size)
+        for j in range(k):
+            indices[dense, j] = found = np.argmin(full, axis=1)
+            dists[dense, j] = full[rows, found]
+            full[rows, found] = np.inf
+    return indices, dists, bound
+
+
 class TestTreeNeighbors:
     """tree_neighbors must return each row's first k entries of the dense
     stable argsort, bit for bit, and the (k+1)-th distance as its bound."""
@@ -488,6 +523,36 @@ class TestTreeNeighbors:
         queries = np.random.default_rng(5).normal(size=(50, 3))
         self.assert_matches_stable_argsort(queries, index.points, 3, index.tree)
         assert tree_builds == [400]
+
+    @pytest.mark.parametrize("entries", [None, 1, 5000])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_tie_rescan_runs_in_bounded_row_blocks(self, monkeypatch, k, entries):
+        # Queries half a step off a 12^3 lattice point tie at the (k+1)-th
+        # neighbour for k = 1 (two points at 0.5) and k = 5 (eight at
+        # sqrt 1.25), so most rows go to the rescan; blocks of
+        # _RESCAN_ENTRIES distances must give the one-matrix rescan's
+        # arrays bit for bit.
+        grid = np.stack(np.meshgrid(*[np.arange(12.0)] * 3, indexing="ij"), axis=-1)
+        points = grid.reshape(-1, 3)[np.random.default_rng(k).permutation(12**3)]
+        queries = points + np.array([0.5, 0.0, 0.0])
+        want = reference_tree_neighbors(queries, points, k)
+        if entries is not None:
+            monkeypatch.setattr(geometry, "_RESCAN_ENTRIES", entries)
+        rows = []
+        real = geometry.cdist
+
+        def spying(a, b):
+            rows.append(len(a))
+            assert len(b) == len(points)
+            return real(a, b)
+
+        monkeypatch.setattr(geometry, "cdist", spying)
+        got = tree_neighbors(queries, points, k)
+        for array, expected in zip(got, want):
+            assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
+        step = max(1, geometry._RESCAN_ENTRIES // len(points))
+        assert sum(rows) == np.count_nonzero(want[1][:, -1] == want[2]) > step
+        assert rows[:-1] == [step] * (len(rows) - 1) and 0 < rows[-1] <= step
 
     def test_results_are_views_of_one_tree_result(self):
         # Callers reduce these arrays; a copy would change numpy's

@@ -22,6 +22,7 @@ from ogmm.mixture import (
 from ogmm.transport import sinkhorn
 
 from constructors import axis_angle_matrix
+from test_geometry import raised_in_child
 
 
 def brute_force_moments(points, features, scores, overlap):
@@ -208,9 +209,11 @@ class TestWeightedSvd:
         base = objective(est)
         for k in range(300):
             delta = random_transform(k, rot_max_deg=5.0, trans_max=0.05)
-            from ogmm.geometry import compose
-
-            assert objective(compose(delta, est)) >= base - 1e-9
+            perturbed = RigidTransform(
+                delta.rotation @ est.rotation,
+                delta.rotation @ est.translation + delta.translation,
+            )
+            assert objective(perturbed) >= base - 1e-9
 
     def test_rotation_is_proper_even_for_adversarial_data(self):
         rng = np.random.default_rng(9)
@@ -245,6 +248,23 @@ class TestWeightedSvd:
         mp = np.zeros((3, 3))
         with pytest.raises(ValueError, match="shape"):
             weighted_svd(mp, mp, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_means_raise(self, side, bad):
+        rng = np.random.default_rng(0)
+        means = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
+        means[side][2, 1] = bad
+        with pytest.raises(ValueError, match="means must be finite"):
+            weighted_svd(means[0], means[1], np.eye(5))
+
+    def test_overflowing_cross_moment_raises_linalg_error(self):
+        # Finite means whose cross-moment overflows to +inf in one entry
+        # (and holds no NaN): the SVD would never return on it.
+        setup = "import numpy as np\nfrom ogmm.mixture import weighted_svd\n"
+        setup += "mp = np.eye(4, 3)\nmp[3, 0] = 1e200"
+        got = raised_in_child(setup, ["weighted_svd(mp, mp, np.eye(4))"])
+        assert got == ["LinAlgError: SVD did not converge"]
 
 
 class TestMatchComponents:

@@ -20,7 +20,6 @@ from ogmm.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
-    compose,
     kabsch_rotation,
     nearest_neighbors,
     random_transform,
@@ -114,7 +113,10 @@ class TestRegister:
         t = random_transform(99, rot_max_deg=30.0, trans_max=0.3)
         base = register(pair.source, pair.target, DESK)
         moved = register(apply_transform(t, pair.source), pair.target, DESK)
-        recovered = compose(moved.transform, t)
+        recovered = RigidTransform(
+            moved.transform.rotation @ t.rotation,
+            moved.transform.rotation @ t.translation + moved.transform.translation,
+        )
         angle_rad = np.radians(rotation_angle_deg(recovered.rotation, base.transform.rotation))
         assert angle_rad <= 1e-4
         assert np.max(np.abs(recovered.translation - base.transform.translation)) <= 1e-4
