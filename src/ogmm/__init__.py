@@ -13,7 +13,6 @@ from .clustering import ClusterAssignment, SoftAssignment, soft_assignment, wass
 from .features import FeatureConfig, SeededMlp, encode
 from .geometry import (
     DegenerateGeometryError,
-    EulerAnglesDeg,
     NeighborIndex,
     PointCloud,
     RigidTransform,

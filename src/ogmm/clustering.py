@@ -50,20 +50,18 @@ class ClusterAssignment:
 
     labels give each item's group in [0, J), J being the number of
     centroids, which are the final group means; every group holds
-    floor(N/J) or ceil(N/J) items. objective is the summed squared distance
-    of each item to its centroid at the last accepted iteration, and
-    history the accepted objective sequence (non-increasing). The
-    sinkhorn_* fields describe the assignment steps' transport solves:
-    calls, their summed iterations, the calls that ended at the iteration
-    budget unconverged, and the largest marginal error of any call.
-    stop_reason is one of KMEANS_STOPS; a "regressed" run made one solve
-    more than its n_iter accepted steps.
+    floor(N/J) or ceil(N/J) items. history is the objective (each item's
+    squared distance to its centroid, summed) of each accepted Lloyd step,
+    non-increasing, the last being the result's. The sinkhorn_* fields
+    describe the assignment steps' transport solves: calls, their summed
+    iterations, the calls that ended at the iteration budget unconverged,
+    and the largest marginal error of any call. stop_reason is one of
+    KMEANS_STOPS; a "regressed" run made one solve more than its n_iter
+    accepted steps.
     """
 
     labels: np.ndarray
     centroids: np.ndarray
-    objective: float
-    n_iter: int
     history: tuple
     sinkhorn_calls: int = 0
     sinkhorn_iterations: int = 0
@@ -94,6 +92,11 @@ class ClusterAssignment:
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "history", tuple(float(h) for h in self.history))
+
+    @property
+    def n_iter(self) -> int:
+        """Accepted Lloyd steps."""
+        return len(self.history)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -270,14 +273,13 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
     best = None
     prev_obj = np.inf
     history = []
-    n_iter = 0
     calls = iterations = unconverged = 0
     error_max = 0.0
     stop = "budget"
-    for n_iter in range(1, KMEANS_MAX_ITER + 1):
+    for step in range(1, KMEANS_MAX_ITER + 1):
         cost = cdist(x, centroids, "sqeuclidean")
         epsilon = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
-        if n_iter <= 2:
+        if step <= 2:
             # Each column's floor(N/J)-th smallest cost, centred, estimates
             # the balanced dual: a cluster priced there draws about its N/J
             # nearest points. The first two steps move the centroids too
@@ -303,10 +305,9 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
         if obj > prev_obj:
             # The balanced rounding is a heuristic; if a step regresses,
             # keep the previous state so the reported history is monotone.
-            n_iter -= 1
             stop = "regressed"
             break
-        best = (labels, centroids_new, obj)
+        best = (labels, centroids_new)
         history.append(obj)
         if prev_obj - obj < KMEANS_TOL:
             stop = "tolerance"
@@ -314,9 +315,9 @@ def _kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
         prev_obj = obj
         centroids = centroids_new
     assert best is not None
-    labels, centroids, obj = best
+    labels, centroids = best
     return ClusterAssignment(
-        labels, centroids, obj, n_iter, tuple(history),
+        labels, centroids, tuple(history),
         sinkhorn_calls=calls,
         sinkhorn_iterations=iterations,
         sinkhorn_unconverged=unconverged,

@@ -3,6 +3,8 @@
 Everything downstream (clustering, mixtures, benchmarking) goes through the
 types defined here, so validation is strict: malformed rotations or
 non-finite coordinates fail at construction time, not deep inside a solver.
+A rotation is its 3x3 matrix; Euler angles are only ever an (rx, ry, rz)
+degree array, for the pair generator and the Euler MAE.
 tree_neighbors is the one k-d tree search, for the descriptor's k-NN and
 for nearest_neighbors from NN_TREE_MIN_POINTS target points on (a dense
 scan below, with the same arrays bit for bit). A NeighborIndex holds a
@@ -22,6 +24,11 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 ROTATION_ORTHO_TOL = 1e-9
+# The pair protocol's motion: per-axis angles in [0, ROT_MAX_DEG] degrees
+# and translations in [-TRANS_MAX, TRANS_MAX], as in RPM-Net's
+# partial-registration protocol (random_transform's defaults).
+ROT_MAX_DEG = 45.0
+TRANS_MAX = 0.5
 # The largest |coordinate| a PointCloud (and read_cloud) accepts: points
 # within it lie under 2 * sqrt(3) * 1e150 apart, a square of about 1.2e301.
 COORDINATE_BOUND = 1e150
@@ -96,35 +103,17 @@ def _as_float_array(values, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EulerAnglesDeg:
-    """Intrinsic Z-Y-X rotation angles in degrees.
+def euler_to_matrix(angles) -> np.ndarray:
+    """Build the 3x3 rotation matrix R = Rz(rz) @ Ry(ry) @ Rx(rx) from
+    intrinsic Z-Y-X angles (rx, ry, rz) in degrees, rx applied first.
 
-    The matrix convention is R = Rz(rz) @ Ry(ry) @ Rx(rx), i.e. rx is applied
-    first. Angles outside (-180, 180] are rejected rather than wrapped so a
-    round trip through a matrix is always the identity on this range.
+    Angles outside (-180, 180] are rejected rather than wrapped, so a round
+    trip through matrix_to_euler is the identity on that range.
     """
-
-    rx: float
-    ry: float
-    rz: float
-
-    def __post_init__(self):
-        for name in ("rx", "ry", "rz"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            if not (-180.0 < v <= 180.0):
-                raise ValueError(f"{name} must lie in (-180, 180], got {v}")
-            object.__setattr__(self, name, v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz], dtype=np.float64)
-
-
-def euler_to_matrix(angles: EulerAnglesDeg) -> np.ndarray:
-    """Build the 3x3 rotation matrix R = Rz @ Ry @ Rx from degree angles."""
-    ax, ay, az = np.radians(angles.as_array())
+    a = _as_float_array(angles, "angles", (3,))
+    if not ((a > -180.0) & (a <= 180.0)).all():
+        raise ValueError(f"angles must lie in (-180, 180], got {a.tolist()}")
+    ax, ay, az = np.radians(a)
     cx, sx = np.cos(ax), np.sin(ax)
     cy, sy = np.cos(ay), np.sin(ay)
     cz, sz = np.cos(az), np.sin(az)
@@ -134,8 +123,9 @@ def euler_to_matrix(angles: EulerAnglesDeg) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def matrix_to_euler(rotation: np.ndarray) -> EulerAnglesDeg:
-    """Extract Z-Y-X Euler angles (degrees) from a rotation matrix.
+def matrix_to_euler(rotation: np.ndarray) -> np.ndarray:
+    """Z-Y-X Euler angles (rx, ry, rz) in degrees of a rotation matrix, as
+    a (3,) array in (-180, 180] (ry in [-90, 90]).
 
     At gimbal lock (|ry| = 90 deg) the rx/rz split is not unique; the
     conventional rx = 0 branch is returned.
@@ -151,9 +141,10 @@ def matrix_to_euler(rotation: np.ndarray) -> EulerAnglesDeg:
         # Gimbal lock: only rz +/- rx is determined.
         rx = 0.0
         rz = np.arctan2(-r[0, 1], r[1, 1])
+    angles = np.array([rx, ry, rz]) * _DEG
     # arctan2's -pi (a half turn whose sine rounds below 0) is 180 here.
-    rx, rz = (180.0 if a == -180.0 else a for a in (rx * _DEG, rz * _DEG))
-    return EulerAnglesDeg(rx, ry * _DEG, rz)
+    angles[angles == -180.0] = 180.0
+    return angles
 
 
 @dataclass(frozen=True)
@@ -180,13 +171,6 @@ class RigidTransform:
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_euler(cls, angles: EulerAnglesDeg, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        return cls(euler_to_matrix(angles), np.asarray(translation, dtype=np.float64))
-
-    def euler_angles(self) -> EulerAnglesDeg:
-        return matrix_to_euler(self.rotation)
 
 
 @dataclass(frozen=True)
@@ -252,7 +236,9 @@ def invert(transform: RigidTransform) -> RigidTransform:
     return RigidTransform(rotation, -rotation @ transform.translation)
 
 
-def random_transform(seed: int, rot_max_deg: float = 45.0, trans_max: float = 0.5) -> RigidTransform:
+def random_transform(
+    seed: int, rot_max_deg: float = ROT_MAX_DEG, trans_max: float = TRANS_MAX
+) -> RigidTransform:
     """Seeded random motion with per-axis angles in [0, rot_max_deg].
 
     Angles are drawn independently per axis and translation components
@@ -264,9 +250,9 @@ def random_transform(seed: int, rot_max_deg: float = 45.0, trans_max: float = 0.
     if trans_max < 0.0:
         raise ValueError("trans_max must be non-negative")
     rng = np.random.default_rng(seed)
-    ax, ay, az = rng.uniform(0.0, rot_max_deg, size=3)
+    angles = rng.uniform(0.0, rot_max_deg, size=3)
     translation = rng.uniform(-trans_max, trans_max, size=3)
-    return RigidTransform.from_euler(EulerAnglesDeg(ax, ay, az), translation)
+    return RigidTransform(euler_to_matrix(angles), translation)
 
 
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ import numpy as np
 
 from .geometry import (
     COORDINATE_BOUND,
+    ROT_MAX_DEG,
+    TRANS_MAX,
     PointCloud,
     RigidTransform,
     apply_transform,
@@ -25,10 +27,8 @@ from .geometry import (
 )
 
 SHAPE_KINDS = ("sphere", "torus", "box", "composite")
-# The pair protocol's per-axis motion range, jitter clamp and overlap label
-# radius, as in RPM-Net's partial-registration protocol.
-ROT_MAX_DEG = 45.0
-TRANS_MAX = 0.5
+# The pair protocol's jitter clamp and overlap label radius, as in RPM-Net's
+# partial-registration protocol; geometry holds its motion range.
 JITTER_CLIP = 0.05
 OVERLAP_ETA = 0.1
 
@@ -134,6 +134,8 @@ def _read_ply(path: str) -> PointCloud:
                 count = int(tokens[2])
             except ValueError:
                 raise _parse_error(path, lineno, f"bad element count {tokens[2]!r}") from None
+            if count < 0:
+                raise _parse_error(path, lineno, f"negative element count {count}")
             elements.append((tokens[1], count))
         elif tokens[0] == "property":
             if not elements:
@@ -143,6 +145,8 @@ def _read_ply(path: str) -> PointCloud:
                     raise _parse_error(path, lineno, "vertex properties must be scalars")
                 if tokens[1] not in _PLY_NUMERIC:
                     raise _parse_error(path, lineno, f"unsupported property type {tokens[1]!r}")
+                if tokens[2] in vertex_props:
+                    raise _parse_error(path, lineno, f"repeated vertex property {tokens[2]!r}")
                 vertex_props.append(tokens[2])
         elif tokens[0] == "end_header":
             end_header = lineno
@@ -374,7 +378,7 @@ class PairSpec:
 
     Defaults reproduce the standard protocol: 1024 points, ~70% kept per
     cloud, no jitter, no density mismatch. The motion range, jitter clamp
-    and overlap label radius are the module's protocol constants.
+    and overlap label radius are protocol constants.
     """
 
     n_points: int = 1024
@@ -441,11 +445,9 @@ def make_pair(spec: PairSpec, shape_kind: str = "composite") -> RegistrationPair
     target = halfspace_crop(target, spec.overlap_keep_fraction, int(sub[3]))
     gt = random_transform(int(sub[4]), ROT_MAX_DEG, TRANS_MAX)
     target = apply_transform(gt, target)
-    if spec.jitter_sigma > 0:
-        source = jitter_points(source, spec.jitter_sigma, int(sub[5]))
-        target = jitter_points(target, spec.jitter_sigma, int(sub[6]))
-    if spec.density_keep < 1.0:
-        target = density_subsample(target, spec.density_keep, int(sub[7]))
+    source = jitter_points(source, spec.jitter_sigma, int(sub[5]))
+    target = jitter_points(target, spec.jitter_sigma, int(sub[6]))
+    target = density_subsample(target, spec.density_keep, int(sub[7]))
     labels_source = gt_overlap_labels(source, target, gt, OVERLAP_ETA)
     labels_target = gt_overlap_labels(target, source, invert(gt), OVERLAP_ETA)
     return RegistrationPair(source, target, gt, labels_source, labels_target, spec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import PointCloud, RigidTransform, nearest_neighbors
+from .geometry import PointCloud, RigidTransform, matrix_to_euler, nearest_neighbors
 
 CCD_CLIP = 0.1
 GIMBAL_PROXIMITY_DEG = 89.9
@@ -18,8 +18,8 @@ GIMBAL_PROXIMITY_DEG = 89.9
 
 def mae_rotation(estimated: RigidTransform, gt: RigidTransform) -> float:
     """Mean absolute difference of the Z-Y-X Euler angles, in degrees."""
-    est = estimated.euler_angles().as_array()
-    ref = gt.euler_angles().as_array()
+    est = matrix_to_euler(estimated.rotation)
+    ref = matrix_to_euler(gt.rotation)
     return float(np.mean(np.abs(est - ref)))
 
 
@@ -35,7 +35,7 @@ def geodesic_rotation_deg(estimated: RigidTransform, gt: RigidTransform) -> floa
 
 def near_gimbal_lock(transform: RigidTransform) -> bool:
     """Flag |ry| above GIMBAL_PROXIMITY_DEG: Euler extraction is ill-conditioned there."""
-    return abs(transform.euler_angles().ry) > GIMBAL_PROXIMITY_DEG
+    return bool(abs(matrix_to_euler(transform.rotation)[1]) > GIMBAL_PROXIMITY_DEG)
 
 
 def _directed(points: np.ndarray, other: PointCloud) -> float:

@@ -13,11 +13,14 @@ legal; their plan rows/columns are exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+from .geometry import as_integer
 
 # The Newton loop (see `_newton_loop`). Epsilon falls by EPSILON_STEP per
 # stage; every stage but the last stops at STAGE_TOL. At 1e-2 or 1e-3 a
@@ -275,7 +278,9 @@ def sinkhorn(
     returned plan is scaled back, so its total mass matches the inputs.
     Convergence means the summed L1 violation of both marginals,
     `marginal_error`, is at most tol. The last iterate's plan is returned
-    even when the iteration budget runs out (converged=False).
+    even when the iteration budget runs out (converged=False). epsilon
+    must lie in (0, inf), tol in [0, inf), and max_iter be an integer of at
+    least 1; anything else raises ValueError before any work.
 
     One loop (`_newton_loop`) solves every problem: it ascends the dual in
     the column log-potentials with damped Newton steps, the rows being met
@@ -314,8 +319,12 @@ def sinkhorn(
         raise ValueError(f"cost must be a matrix, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost contains non-finite values")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    # Scalar checks, each false for NaN: a registration makes about 20 calls.
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
+    max_iter = as_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n, m = c.shape

@@ -80,12 +80,14 @@ class TestRegisterCommand:
                 PLY_HEADER.replace(b"ply\n", b"ply\ncomment caf\xc3\xa9\n", 1) + b"0 0 0\n1 1 1\n",
                 2,
             ),
+            ("negative.ply", PLY_HEADER.replace(b"vertex 2", b"vertex -1") + b"0 0 0\n1 1 1\n", 3),
         ],
-        ids=["nan-xyz", "inf-ply", "non-ascii-xyz", "non-ascii-ply"],
+        ids=["nan-xyz", "inf-ply", "non-ascii-xyz", "non-ascii-ply", "negative-count-ply"],
     )
     def test_bad_cloud_contents_are_parse_errors(self, tmp_path, capsys, name, body, line):
-        # A nan/inf coordinate or a non-ASCII byte is a parse error (exit
-        # 2) that names the line, not a config error from the pipeline.
+        # A nan/inf coordinate, a non-ASCII byte or a negative element
+        # count is a parse error (exit 2) that names the line, not a config
+        # error from the pipeline.
         path = tmp_path / name
         path.write_bytes(body)
         code = main(["register", str(path), str(path), "--profile", "desk"])

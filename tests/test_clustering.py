@@ -190,8 +190,10 @@ def reference_kmeans_balanced(points: np.ndarray, n_clusters: int, seed: int):
         centroids = centroids_new
     assert best is not None
     labels, centroids, obj = best
+    # The record derives n_iter from history; the count kept here must agree.
+    assert n_iter == len(history)
     return ClusterAssignment(
-        labels, centroids, obj, n_iter, tuple(history),
+        labels, centroids, tuple(history),
         sinkhorn_calls=calls,
         sinkhorn_iterations=iterations,
         sinkhorn_unconverged=unconverged,
@@ -389,10 +391,9 @@ class TestWassersteinKmeans:
         recomputed = float(
             np.sum((cloud.points - result.centroids[result.labels]) ** 2)
         )
-        assert np.isclose(result.objective, recomputed, atol=1e-9)
+        assert np.isclose(result.history[-1], recomputed, atol=1e-9)
         diffs = np.diff(result.history)
         assert np.all(diffs <= 1e-12)
-        assert result.history[-1] == result.objective
 
     def test_deterministic_per_seed(self):
         cloud = sample_shape("box", 70, 5)
@@ -422,7 +423,7 @@ class TestWassersteinKmeans:
         cloud = PointCloud(np.random.default_rng(8).normal(size=(12, 3)))
         result = wasserstein_kmeans(cloud, 12, seed=0)
         assert np.all(result.sizes == 1)
-        assert result.objective < 1e-18
+        assert result.history[-1] < 1e-18
         # Centroids are the points themselves, in some order.
         np.testing.assert_allclose(
             np.sort(result.centroids, axis=0), np.sort(cloud.points, axis=0), atol=1e-12
@@ -432,7 +433,7 @@ class TestWassersteinKmeans:
         cloud = PointCloud(np.zeros((9, 3)))
         result = wasserstein_kmeans(cloud, 3, seed=0)
         assert result.sizes.tolist() == [3, 3, 3]
-        assert result.objective == 0.0
+        assert result.history[-1] == 0.0
 
     def test_rejects_more_clusters_than_points(self):
         cloud = PointCloud(np.zeros((4, 3)))
@@ -443,14 +444,14 @@ class TestWassersteinKmeans:
 
     def test_assignment_type_validates(self):
         with pytest.raises(ValueError, match="deviate"):
-            ClusterAssignment(np.zeros(3, dtype=int), np.zeros((2, 3)), 0.0, 1, (0.0,))
+            ClusterAssignment(np.zeros(3, dtype=int), np.zeros((2, 3)), (0.0,))
         # Within one of N/J, but not a floor/ceiling split: 64 points in two
         # clusters must be 32 and 32.
         uneven = np.repeat([0, 1], [31, 33])
         with pytest.raises(ValueError, match="deviate"):
-            ClusterAssignment(uneven, np.zeros((2, 3)), 0.0, 1, (0.0,))
+            ClusterAssignment(uneven, np.zeros((2, 3)), (0.0,))
         even = np.repeat([0, 1], [32, 32])
-        ClusterAssignment(even, np.zeros((2, 3)), 0.0, 1, (0.0,))
+        assert ClusterAssignment(even, np.zeros((2, 3)), (2.0, 1.0)).n_iter == 2
 
     @pytest.mark.parametrize(
         "labels, centroids, message",
@@ -467,16 +468,16 @@ class TestWassersteinKmeans:
     )
     def test_assignment_rejects_malformed_labels(self, labels, centroids, message):
         with pytest.raises(ValueError, match=message):
-            ClusterAssignment(np.array(labels), centroids, 0.0, 1, (0.0,))
+            ClusterAssignment(np.array(labels), centroids, (0.0,))
 
     def test_assignment_rejects_unknown_stop_reason(self):
         with pytest.raises(ValueError, match="stop_reason"):
-            ClusterAssignment(np.arange(3), np.zeros((3, 3)), 0.0, 1, (0.0,), stop_reason="done")
+            ClusterAssignment(np.arange(3), np.zeros((3, 3)), (0.0,), stop_reason="done")
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_assignment_stores_labels_read_only(self, dtype):
         labels = np.array([2, 0, 1, 1, 0, 2, 2, 0, 1], dtype=dtype)
-        run = ClusterAssignment(labels, np.zeros((3, 2)), 0.0, 1, (0.0,))
+        run = ClusterAssignment(labels, np.zeros((3, 2)), (0.0,))
         assert run.labels.dtype == np.intp and not run.labels.flags.writeable
         np.testing.assert_array_equal(run.labels, labels)
         np.testing.assert_array_equal(run.sizes, [3, 3, 3])
@@ -508,9 +509,7 @@ def test_lloyd_loop_matches_the_oracle(points, j):
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.sizes, want.sizes)
         np.testing.assert_array_equal(got.centroids, want.centroids)
-        assert got.objective == want.objective
         assert got.history == want.history
-        assert got.n_iter == want.n_iter
         assert (
             got.sinkhorn_calls,
             got.sinkhorn_iterations,

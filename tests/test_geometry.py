@@ -14,7 +14,6 @@ from ogmm.geometry import (
     NN_TREE_MIN_POINTS,
     ROTATION_ORTHO_TOL,
     DegenerateGeometryError,
-    EulerAnglesDeg,
     NeighborIndex,
     PointCloud,
     RigidTransform,
@@ -141,39 +140,38 @@ def shuffled_lattice(seed: int) -> np.ndarray:
 class TestEulerConversions:
     def test_single_axis_matrices_match_hand_values(self):
         # Rz(90) sends x to y.
-        r = euler_to_matrix(EulerAnglesDeg(0.0, 0.0, 90.0))
+        r = euler_to_matrix((0.0, 0.0, 90.0))
         np.testing.assert_allclose(r @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-15)
         # Rx(90) sends y to z.
-        r = euler_to_matrix(EulerAnglesDeg(90.0, 0.0, 0.0))
+        r = euler_to_matrix((90.0, 0.0, 0.0))
         np.testing.assert_allclose(r @ np.array([0, 1.0, 0]), [0, 0, 1], atol=1e-15)
         # Ry(90) sends z to x.
-        r = euler_to_matrix(EulerAnglesDeg(0.0, 90.0, 0.0))
+        r = euler_to_matrix((0.0, 90.0, 0.0))
         np.testing.assert_allclose(r @ np.array([0, 0, 1.0]), [1, 0, 0], atol=1e-15)
 
     def test_application_order_is_x_then_y_then_z(self):
-        a = EulerAnglesDeg(10.0, 20.0, 30.0)
-        rx = euler_to_matrix(EulerAnglesDeg(10.0, 0.0, 0.0))
-        ry = euler_to_matrix(EulerAnglesDeg(0.0, 20.0, 0.0))
-        rz = euler_to_matrix(EulerAnglesDeg(0.0, 0.0, 30.0))
-        np.testing.assert_allclose(euler_to_matrix(a), rz @ ry @ rx, atol=1e-15)
+        rx = euler_to_matrix((10.0, 0.0, 0.0))
+        ry = euler_to_matrix((0.0, 20.0, 0.0))
+        rz = euler_to_matrix((0.0, 0.0, 30.0))
+        np.testing.assert_allclose(euler_to_matrix((10.0, 20.0, 30.0)), rz @ ry @ rx, atol=1e-15)
 
     def test_round_trip_recovers_angles(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            angles = EulerAnglesDeg(
+            angles = (
                 rng.uniform(-179.0, 179.0),
                 rng.uniform(-89.0, 89.0),
                 rng.uniform(-179.0, 179.0),
             )
             back = matrix_to_euler(euler_to_matrix(angles))
-            np.testing.assert_allclose(back.as_array(), angles.as_array(), atol=1e-10)
+            np.testing.assert_allclose(back, angles, atol=1e-10)
 
     def test_matrix_round_trip_outside_primary_branch(self):
         # ry beyond +/-90 aliases to another angle triple; the matrix itself
         # must still round-trip exactly.
         rng = np.random.default_rng(8)
         for _ in range(200):
-            angles = EulerAnglesDeg(
+            angles = (
                 rng.uniform(-179.0, 179.0),
                 rng.uniform(-179.0, 179.0),
                 rng.uniform(-179.0, 179.0),
@@ -186,32 +184,31 @@ class TestEulerConversions:
         rng = np.random.default_rng(11)
         for seed in range(300):
             t = random_rigid(seed)
-            e = matrix_to_euler(t.rotation)
-            assert -180.0 < e.rx <= 180.0
-            assert -90.0 - 1e-9 <= e.ry <= 90.0 + 1e-9
-            assert -180.0 < e.rz <= 180.0
+            rx, ry, rz = matrix_to_euler(t.rotation)
+            assert -180.0 < rx <= 180.0
+            assert -90.0 - 1e-9 <= ry <= 90.0 + 1e-9
+            assert -180.0 < rz <= 180.0
 
     def test_gimbal_lock_branch_returns_consistent_matrix(self):
-        angles = EulerAnglesDeg(25.0, 90.0, -40.0)
-        r = euler_to_matrix(angles)
+        r = euler_to_matrix((25.0, 90.0, -40.0))
         e = matrix_to_euler(r)
-        assert e.rx == 0.0
+        assert e[0] == 0.0
         np.testing.assert_allclose(euler_to_matrix(e), r, atol=1e-10)
 
     @pytest.mark.parametrize("angles", [(180.0, 0.0, 0.0), (0.0, 0.0, 180.0)])
     def test_half_turn_reads_back_as_plus_180(self, angles):
         # The inverse's sine term rounds to a tiny negative, where arctan2
         # gives -pi.
-        t = invert(RigidTransform.from_euler(EulerAnglesDeg(*angles)))
-        np.testing.assert_allclose(t.euler_angles().as_array(), angles, atol=1e-12)
+        t = invert(RigidTransform(euler_to_matrix(angles), np.zeros(3)))
+        np.testing.assert_allclose(matrix_to_euler(t.rotation), angles, atol=1e-12)
 
     def test_angle_range_validation(self):
         with pytest.raises(ValueError):
-            EulerAnglesDeg(181.0, 0.0, 0.0)
+            euler_to_matrix((181.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            EulerAnglesDeg(0.0, -180.0, 0.0)
+            euler_to_matrix((0.0, -180.0, 0.0))
         with pytest.raises(ValueError):
-            EulerAnglesDeg(0.0, np.nan, 0.0)
+            euler_to_matrix((0.0, np.nan, 0.0))
 
 
 class TestRigidTransform:
@@ -259,12 +256,12 @@ class TestRigidTransform:
     def test_axis_angle_matches_euler_for_coordinate_axes(self):
         np.testing.assert_allclose(
             axis_angle_matrix([0, 0, 1], 30.0),
-            euler_to_matrix(EulerAnglesDeg(0.0, 0.0, 30.0)),
+            euler_to_matrix((0.0, 0.0, 30.0)),
             atol=1e-14,
         )
         np.testing.assert_allclose(
             axis_angle_matrix([1, 0, 0], -45.0),
-            euler_to_matrix(EulerAnglesDeg(-45.0, 0.0, 0.0)),
+            euler_to_matrix((-45.0, 0.0, 0.0)),
             atol=1e-14,
         )
 
@@ -359,7 +356,38 @@ class TestRigidCoreMatchesTheReference:
                 assert stored.flags.c_contiguous and not stored.flags.writeable
 
 
+def reference_euler_to_matrix(rx: float, ry: float, rz: float) -> np.ndarray:
+    """R = Rz @ Ry @ Rx from three Python floats, in the arithmetic
+    euler_to_matrix must keep bit for bit."""
+    ax, ay, az = np.radians(np.array([rx, ry, rz], dtype=np.float64))
+    cx, sx = np.cos(ax), np.sin(ax)
+    cy, sy = np.cos(ay), np.sin(ay)
+    cz, sz = np.cos(az), np.sin(az)
+    mx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    my = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    mz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    return mz @ my @ mx
+
+
+def reference_random_transform(seed: int, rot_max_deg: float = 45.0, trans_max: float = 0.5):
+    """(rotation, translation) of the pair protocol's seeded motion: the
+    angle draw, then the translation draw, from one generator."""
+    rng = np.random.default_rng(seed)
+    ax, ay, az = rng.uniform(0.0, rot_max_deg, size=3)
+    translation = rng.uniform(-trans_max, trans_max, size=3)
+    rotation = reference_euler_to_matrix(float(ax), float(ay), float(az))
+    return rotation, np.asarray(translation, dtype=np.float64)
+
+
 class TestRandomTransform:
+    @pytest.mark.parametrize("ranges", [(), (179.0, 3.0)], ids=["protocol", "wide"])
+    def test_bits_match_the_reference(self, ranges):
+        for seed in range(200):
+            t = random_transform(seed, *ranges)
+            rotation, translation = reference_random_transform(seed, *ranges)
+            assert t.rotation.tobytes() == rotation.tobytes()
+            assert t.translation.tobytes() == translation.tobytes()
+
     def test_deterministic_per_seed(self):
         a = random_transform(123)
         b = random_transform(123)
@@ -375,10 +403,10 @@ class TestRandomTransform:
             # The drawn angles are in [0, 45] per axis; verify via the
             # rotation's geodesic angle bound: |total| <= 3 * 45 deg is loose,
             # so check the reconstructed generator instead.
-            e = matrix_to_euler(t.rotation)
-            assert -1e-9 <= e.rx <= 45.0 + 1e-9
-            assert -1e-9 <= e.ry <= 45.0 + 1e-9
-            assert -1e-9 <= e.rz <= 45.0 + 1e-9
+            rx, ry, rz = matrix_to_euler(t.rotation)
+            assert -1e-9 <= rx <= 45.0 + 1e-9
+            assert -1e-9 <= ry <= 45.0 + 1e-9
+            assert -1e-9 <= rz <= 45.0 + 1e-9
 
     def test_zero_magnitudes_give_identity(self):
         t = random_transform(5, rot_max_deg=0.0, trans_max=0.0)

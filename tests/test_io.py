@@ -105,6 +105,36 @@ class TestPlyFormat:
         cloud = read_cloud(path)
         assert len(cloud) == 2
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "element face -2\nproperty list uchar int vertex_indices\nelement vertex 3\n",
+            "element vertex -1\n",
+        ],
+        ids=["face-before-vertex", "vertex"],
+    )
+    def test_negative_element_count_rejected(self, tmp_path, header):
+        # A negative count moved the reader's cursor back: the face case
+        # read the vertex rows in the order 1, 2, 0 without an error.
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\n" + header
+            + "property float x\nproperty float y\nproperty float z\nend_header\n"
+            + "0 0 0\n1 1 1\n2 2 2\n"
+        )
+        with pytest.raises(CloudParseError, match=":3: negative element count"):
+            read_cloud(path)
+
+    def test_repeated_vertex_property_rejected(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float x\nproperty float z\n"
+            "end_header\n1 2 3 4\n"
+        )
+        with pytest.raises(CloudParseError, match=":6: repeated vertex property 'x'"):
+            read_cloud(path)
+
     def test_missing_magic_rejected(self, tmp_path):
         path = tmp_path / "c.ply"
         path.write_text("plx\nformat ascii 1.0\nend_header\n")

@@ -328,6 +328,39 @@ class TestSinkhornEdges:
         with pytest.raises(ValueError, match="epsilon"):
             sinkhorn(np.zeros((2, 2)), np.full(2, 0.5), np.full(2, 0.5), epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("epsilon", -1.0, "epsilon"),
+            ("epsilon", np.nan, "epsilon"),
+            ("epsilon", np.inf, "epsilon"),
+            ("tol", -1.0, "tol"),
+            ("tol", np.nan, "tol"),
+            ("tol", np.inf, "tol"),
+            ("max_iter", 0, "max_iter"),
+            ("max_iter", 1.5, "max_iter must be an integer"),
+            ("max_iter", 7.0, "max_iter must be an integer"),
+            ("max_iter", True, "max_iter must be an integer"),
+        ],
+    )
+    def test_bad_solver_parameter_rejected_before_any_work(self, monkeypatch, option, value, message):
+        # A NaN or infinite epsilon once ran a whole solve (or returned NaN
+        # potentials as converged), a NaN or negative tol spent the whole
+        # budget, and a fractional max_iter overran it.
+        def no_solve(*args):
+            raise AssertionError("solved despite a bad parameter")
+
+        monkeypatch.setattr(transport, "_newton_loop", no_solve)
+        cost = np.random.default_rng(3).uniform(size=(4, 5))
+        with pytest.raises(ValueError, match=message):
+            sinkhorn(cost, np.full(4, 0.25), np.full(5, 0.2), **{option: value})
+
+    def test_boundary_solver_parameters_accepted(self):
+        cost = np.random.default_rng(3).uniform(size=(4, 5))
+        plan = sinkhorn(cost, np.full(4, 0.25), np.full(5, 0.2), max_iter=np.int64(50), tol=0.0)
+        assert plan.iterations == 50 and not plan.converged
+        assert sinkhorn(cost, np.full(4, 0.25), np.full(5, 0.2), epsilon=1e300).converged
+
     def test_plan_type_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="negative"):
             TransportPlan(np.array([[-0.1, 0.2], [0.3, 0.4]]), True, 1, 0.0, np.zeros(2))
