@@ -16,6 +16,7 @@ next block sends to the tree only the rows whose match can have changed.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,15 @@ class DegenerateGeometryError(ValueError):
 
 
 def as_integer(value, name: str, error: type = ValueError) -> int:
-    """value as an int if it is a Python or numpy integer; a bool, a float
-    (even 2.0) or anything else raises `error` rather than being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """value as an int if it is a Python or numpy integer (anything
+    `operator.index` takes); a bool, a float (even 2.0) or anything else
+    raises `error` rather than being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # an exact int, subclasses included
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def as_real(value, name: str, error: type = ValueError) -> float:
@@ -211,6 +216,12 @@ def transform_points(transform: RigidTransform, points: np.ndarray) -> np.ndarra
     return np.asarray(points, dtype=np.float64) @ transform.rotation.T + transform.translation
 
 
+def _svd_did_not_converge(err, flag):
+    # np.linalg.svd's handler: the SVD gufunc flags non-convergence as an
+    # invalid value.
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Proper rotation R maximizing trace(R h) for a 3x3 cross-moment h,
     plus the singular values of h (for the caller's degeneracy checks).
@@ -219,11 +230,14 @@ def kabsch_rotation(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The one Kabsch core: the mixture solve and ICP's row-matched solve both
     go through it, and no other function in the package computes an SVD.
     Raises LinAlgError where np.linalg.svd does, and with the same message
-    on any non-finite h, on which the SVD may never return.
+    on any non-finite h, on which the SVD may never return. The SVD is the
+    gufunc np.linalg.svd calls, under the error state it sets, unwrapped.
     """
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("SVD did not converge")
-    u, s, vt = np.linalg.svd(h)
+    with np.errstate(call=_svd_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        u, s, vt = _umath_linalg.svd_f(h, signature="d->ddd")
     ut = u.T
     # V diag(1, 1, d) U^T, 0 and NaN d included, by scaling V's last column
     # (vt's last row); d's determinant is np.linalg.det's gufunc, unwrapped.

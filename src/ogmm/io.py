@@ -184,6 +184,9 @@ def _read_ply(path: str) -> PointCloud:
                 rows[i] = _coordinates([tokens[col] for col in cols], path, lineno)
             points = rows
         cursor += count
+    for lineno, line in enumerate(data_lines[cursor:], start=end_header + cursor + 1):
+        if line.strip():
+            raise _parse_error(path, lineno, "data past the last declared element")
     assert points is not None
     if points.shape[0] == 0:
         raise CloudParseError(f"{path}: vertex element is empty")

@@ -374,7 +374,8 @@ def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: boo
     moved = np.empty_like(a)
     transform = RigidTransform.identity()
     idx, dists = nearest_neighbors(a, index)
-    history = [float(dists.mean())]
+    # dists.mean()'s own reduction and division, without its Python wrapper.
+    history = [float(np.add.reduce(dists)) / len(dists)]
     converged = False
     for _ in range(ICP_MAX_ITER):
         candidate = _paired_kabsch(centred, ca, target.points.take(idx, axis=0))
@@ -382,7 +383,7 @@ def icp_baseline(source: PointCloud, target: PointCloud, return_diagnostics: boo
         np.matmul(a, candidate.rotation.T, out=moved)
         moved += candidate.translation
         idx, dists = nearest_neighbors(moved, index)
-        objective = float(dists.mean())
+        objective = float(np.add.reduce(dists)) / len(dists)
         if objective > history[-1] - ICP_TOL:
             if objective <= history[-1]:
                 transform, history = candidate, history + [objective]

@@ -81,13 +81,17 @@ class TestRegisterCommand:
                 2,
             ),
             ("negative.ply", PLY_HEADER.replace(b"vertex 2", b"vertex -1") + b"0 0 0\n1 1 1\n", 3),
+            ("extra.ply", PLY_HEADER + b"0 0 0\n1 1 1\n2 2 2\n", 10),
         ],
-        ids=["nan-xyz", "inf-ply", "non-ascii-xyz", "non-ascii-ply", "negative-count-ply"],
+        ids=[
+            "nan-xyz", "inf-ply", "non-ascii-xyz", "non-ascii-ply", "negative-count-ply",
+            "extra-rows-ply",
+        ],
     )
     def test_bad_cloud_contents_are_parse_errors(self, tmp_path, capsys, name, body, line):
-        # A nan/inf coordinate, a non-ASCII byte or a negative element
-        # count is a parse error (exit 2) that names the line, not a config
-        # error from the pipeline.
+        # A nan/inf coordinate, a non-ASCII byte, a negative element count
+        # or a row past the declared elements is a parse error (exit 2)
+        # that names the line, not a config error from the pipeline.
         path = tmp_path / name
         path.write_bytes(body)
         code = main(["register", str(path), str(path), "--profile", "desk"])

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ogmm.geometry import (
     PointCloud,
     RigidTransform,
     apply_transform,
+    as_integer,
     euler_to_matrix,
     farthest_point_sample,
     invert,
@@ -299,6 +301,22 @@ class TestRigidCoreMatchesTheReference:
         with pytest.raises(np.linalg.LinAlgError) as got:
             kabsch_rotation(h)
         assert str(got.value) == str(want.value)
+
+    def test_svd_non_convergence_is_a_linalg_error(self, monkeypatch):
+        # LAPACK's non-convergence reaches kabsch_rotation only as the
+        # invalid-value flag the SVD gufunc raises; np.linalg.svd turns that
+        # flag into this error, and so must the unwrapped call.
+        def flags_invalid(h, signature):
+            assert signature == "d->ddd"
+            np.sqrt(np.full(3, -1.0))
+            return np.linalg.svd(h)
+
+        monkeypatch.setattr(
+            geometry, "_umath_linalg",
+            SimpleNamespace(svd_f=flags_invalid, det=geometry._umath_linalg.det),
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            kabsch_rotation(np.eye(3))
 
     def test_refuses_non_finite_cross_moments_at_once(self):
         # An infinite entry used to reach np.linalg.svd, which never
@@ -839,3 +857,27 @@ class TestFarthestPointSampleBitExact:
 
 def test_degenerate_geometry_error_is_value_error():
     assert issubclass(DegenerateGeometryError, ValueError)
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(7, 7), (-3, -3), (np.int64(5), 5), (np.uint8(200), 200), (_Count(4), 4)],
+    ids=["int", "negative-int", "int64", "uint8", "int-subclass"],
+)
+def test_as_integer_returns_a_plain_int(value, expected):
+    got = as_integer(value, "n")
+    assert type(got) is int and got == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 2.0, 1.5, np.float64(3.0), np.bool_(True), "3", None],
+    ids=["true", "false", "float-2", "float-1.5", "float64", "numpy-bool", "str", "none"],
+)
+def test_as_integer_refuses_non_integers(value):
+    with pytest.raises(TypeError, match=r"^n must be an integer, got "):
+        as_integer(value, "n", TypeError)

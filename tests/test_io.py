@@ -163,6 +163,29 @@ class TestPlyFormat:
         with pytest.raises(CloudParseError, match="ends early"):
             read_cloud(path)
 
+    @pytest.mark.parametrize(
+        "tail, line", [("2 2 2\n", 10), ("\n2 2 2\n", 11)], ids=["next-line", "after-blank"]
+    )
+    def test_rows_past_the_last_element_rejected(self, tmp_path, tail, line):
+        # A third vertex row under `element vertex 2` was dropped silently.
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n0 0 0\n1 1 1\n" + tail
+        )
+        with pytest.raises(CloudParseError, match=f":{line}: data past the last declared element"):
+            read_cloud(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n0 0 0\n1 1 1\n\n  \n"
+        )
+        assert len(read_cloud(path)) == 2
+
     def test_bad_row_width_reports_line(self, tmp_path):
         path = tmp_path / "c.ply"
         path.write_text(

@@ -91,7 +91,7 @@ def test_only_kabsch_rotation_computes_an_svd():
     and ICP's row-matched solve both call it, so neither keeps a second
     SVD path with its own sign rule."""
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in svd_uses(path)]
-    assert found == ["geometry.py:kabsch_rotation svd"], found
+    assert found == ["geometry.py:kabsch_rotation svd_f"], found
 
 
 # Public names that no module of the package or the benchmark calls, each
