@@ -17,12 +17,10 @@ from scipy.spatial.distance import cdist
 
 from .clustering import SoftAssignment
 from .geometry import DegenerateGeometryError, PointCloud, RigidTransform, kabsch_rotation
-from .transport import TransportPlan, sinkhorn
+from .transport import TransportPlan, relative_epsilon, sinkhorn
 
 MOMENT_EPS = 1e-4
-# The component matching solve: an absolute epsilon, and a budget that is a
-# backstop (see match_components).
-MATCH_EPSILON = 0.01
+MATCH_EPSILON_SCALE = 5e-3
 MATCH_MAX_ITER = 5000
 MATCH_TOL = 1e-6
 
@@ -73,6 +71,16 @@ class WeightedGmm:
         object.__setattr__(self, "mass", float(self.mass))
 
 
+def validate_overlap(values, n: int, name: str) -> np.ndarray:
+    """values as n float overlap scores in [0, 1], else a ValueError naming `name`."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    if np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
+
+
 def estimate_gmm(
     cloud: PointCloud, features: np.ndarray, assignment: SoftAssignment, overlap: np.ndarray
 ) -> WeightedGmm:
@@ -88,12 +96,8 @@ def estimate_gmm(
     in place of coordinates. All-zero overlap is legal and produces a
     zero-mass mixture.
     """
-    o = np.asarray(overlap, dtype=np.float64)
     n_pts = len(cloud)
-    if o.shape != (n_pts,):
-        raise ValueError(f"overlap must have shape ({n_pts},), got {o.shape}")
-    if np.any(o < 0) or np.any(o > 1) or not np.all(np.isfinite(o)):
-        raise ValueError("overlap scores must lie in [0, 1]")
+    o = validate_overlap(overlap, n_pts, "overlap")
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] != n_pts:
         raise ValueError(f"features must have shape ({n_pts}, d), got {f.shape}")
@@ -129,13 +133,12 @@ def match_components(gmm_p: WeightedGmm, gmm_q: WeightedGmm) -> TransportPlan:
     a mixture whose total weight is zero (no overlap mass) cannot be
     matched and raises DegenerateGeometryError.
 
-    At the absolute MATCH_EPSILON the solve is a cold solve of
-    `transport.sinkhorn` (epsilon scaling): on 276 solves captured from
-    desk pairs and the oracle arm of criteria 8 and 9 it converged every
-    time, in 40-42 iterations (median) and 55 at most; the median desk
-    solve takes 1.9 ms on one core of a 2-vCPU Xeon. MATCH_MAX_ITER is a
-    backstop; the plan's `converged` flag (`sinkhorn_converged` in
-    `register`'s diagnostics) says whether it was reached.
+    Epsilon is MATCH_EPSILON_SCALE x the mean cost (`relative_epsilon`), so
+    scaling every feature centroid leaves the plan as it is. The solve is a
+    cold solve of `transport.sinkhorn`, whose docstring gives its measured
+    iterations. MATCH_MAX_ITER is a backstop; the plan's `converged` flag
+    (`sinkhorn_converged` in `register`'s diagnostics) says whether it was
+    reached.
     """
     if gmm_p.feature_centroids.shape[1] != gmm_q.feature_centroids.shape[1]:
         raise ValueError("feature centroid dimensions differ")
@@ -149,7 +152,7 @@ def match_components(gmm_p: WeightedGmm, gmm_q: WeightedGmm) -> TransportPlan:
         cost,
         gmm_p.weights / wp,
         gmm_q.weights / wq,
-        epsilon=MATCH_EPSILON,
+        epsilon=relative_epsilon(cost, MATCH_EPSILON_SCALE),
         max_iter=MATCH_MAX_ITER,
         tol=MATCH_TOL,
     )

@@ -39,7 +39,7 @@ from .geometry import (
     nearest_neighbors,
     transform_points,
 )
-from .mixture import WeightedGmm, estimate_gmm, match_components, weighted_svd
+from .mixture import WeightedGmm, estimate_gmm, match_components, validate_overlap, weighted_svd
 from .transport import TransportPlan
 
 # Pipeline constants no caller varies: feature width, attention heads,
@@ -135,15 +135,6 @@ class RegistrationResult:
         }
 
 
-def _validate_overlap(values, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    if np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return arr
-
-
 @contextmanager
 def _timed(stage_ms: dict, stage: str):
     """Add the wall time of the block, in ms, to stage_ms[stage]."""
@@ -160,8 +151,8 @@ def _fixed_overlap(config: RegisterConfig, overlap_source, overlap_target, n_p: 
     if overlap_source is not None or overlap_target is not None:
         if overlap_source is None or overlap_target is None:
             raise ValueError("provide overlap overrides for both clouds or neither")
-        o_p = _validate_overlap(overlap_source, n_p, "overlap_source")
-        o_q = _validate_overlap(overlap_target, n_q, "overlap_target")
+        o_p = validate_overlap(overlap_source, n_p, "overlap_source")
+        o_q = validate_overlap(overlap_target, n_q, "overlap_target")
         return o_p, o_q, "override"
     if config.overlap_mode == "ones":
         return np.ones(n_p), np.ones(n_q), "ones"

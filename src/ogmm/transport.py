@@ -38,6 +38,14 @@ MAX_STEP = 5.0
 RIDGE = 1e-12
 ARMIJO = 1e-4
 MAX_HALVINGS = 30
+EPSILON_FLOOR = 1e-12  # an all-zero cost has mean 0 but needs a positive epsilon
+
+
+def relative_epsilon(cost: np.ndarray, scale: float) -> float:
+    """Scale x the mean cost, floored at EPSILON_FLOOR: the epsilon of both
+    `sinkhorn` call sites, each with its own scale, so that it follows the
+    cost's scale, not its units (Cuturi 2013; Feydy et al. 2019)."""
+    return max(scale * float(cost.mean()), EPSILON_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -292,11 +300,11 @@ def sinkhorn(
     - Cold (init None), epsilon falls from the cost range to the configured
       one by a factor 4 per stage, each stage starting from the last one's
       potentials. The component matching solves this way: on 276 captured
-      matching solves (8x8 and 16x16 at epsilon 0.01, from desk pairs and
-      from the oracle arm of criteria 8 and 9) it converged every time, in
-      40-42 iterations (median) and 55 at most; plain Sinkhorn ended most
-      of them unconverged at 5000 iterations. On one core of a 2-vCPU Xeon
-      the median of 72 desk matching solves took 1.7 ms.
+      solves (8x8 and 16x16; 108 from the desk bench's predicted and
+      all-ones arms, 168 from criteria 8 and 9's oracle arm) it converged
+      every time, in 27-28 iterations (median) and 46 at most; plain
+      Sinkhorn took 1100-1700 (median) and left 43 unconverged at 5000. On
+      one core of a 2-vCPU Xeon the median desk solve took 1.3 ms.
     - Warm, init holds starting column potentials in cost units (the
       `potentials` of an earlier plan, or an estimate), and the loop starts
       at the configured epsilon from them, with Newton steps and no

@@ -11,7 +11,7 @@ from ogmm.geometry import (
     RigidTransform,
 )
 from ogmm.mixture import (
-    MATCH_EPSILON,
+    MATCH_EPSILON_SCALE,
     MATCH_TOL,
     MOMENT_EPS,
     WeightedGmm,
@@ -283,13 +283,31 @@ class TestMatchComponents:
         mu, nu = gp.weights / gp.weights.sum(), gq.weights / gq.weights.sum()
         # The problem match_components poses, solved to a tight tolerance.
         cost = cdist(gp.feature_centroids, gq.feature_centroids, "sqeuclidean")
-        tight = sinkhorn(cost, mu, nu, epsilon=MATCH_EPSILON, tol=1e-10, max_iter=20000)
+        epsilon = MATCH_EPSILON_SCALE * float(cost.mean())
+        tight = sinkhorn(cost, mu, nu, epsilon=epsilon, tol=1e-10, max_iter=20000)
         assert tight.converged
         np.testing.assert_allclose(tight.matrix.sum(axis=1), mu, atol=1e-9)
         np.testing.assert_allclose(tight.matrix.sum(axis=0), nu, atol=1e-9)
         plan = match_components(gp, gq)
         assert plan.converged and plan.marginal_error <= MATCH_TOL
         np.testing.assert_allclose(plan.matrix, tight.matrix, rtol=0, atol=MATCH_TOL)
+
+    @pytest.mark.parametrize("s", [0.1, 10.0])
+    def test_plan_does_not_depend_on_the_feature_scale(self, s):
+        # Scaling every feature centroid by s scales the cost by s**2; an
+        # epsilon relative to the mean cost scales with it, so the problem
+        # and its plan stay the same.
+        rng = np.random.default_rng(14)
+        means_p, means_q = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+        feats_p = rng.normal(0.0, 0.05, size=(8, 32))
+        feats_q = rng.normal(0.0, 0.05, size=(8, 32))
+        w_p, w_q = rng.uniform(0.2, 1.0, size=8), rng.uniform(0.2, 1.0, size=8)
+        plan = match_components(self.make_gmm(means_p, feats_p, w_p),
+                                self.make_gmm(means_q, feats_q, w_q))
+        scaled = match_components(self.make_gmm(means_p, s * feats_p, w_p),
+                                  self.make_gmm(means_q, s * feats_q, w_q))
+        assert plan.converged and scaled.converged
+        np.testing.assert_allclose(scaled.matrix, plan.matrix, rtol=0, atol=MATCH_TOL)
 
     def test_distinct_features_give_near_permutation_plan(self):
         rng = np.random.default_rng(12)

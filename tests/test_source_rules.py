@@ -163,3 +163,34 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             if name in TEST_ONLY_NAMES:
                 allowed.add(f"{path.name}:{name}")
     assert unused == allowed, sorted(unused ^ allowed)
+
+
+
+def called_name(node) -> str:
+    """The name a call expression calls (`f(...)` or `module.f(...)`), or ""
+    when node is no such call."""
+    if not isinstance(node, ast.Call):
+        return ""
+    return getattr(node.func, "id", getattr(node.func, "attr", ""))
+
+
+def sinkhorn_calls(path: Path) -> list:
+    """Each call of `sinkhorn` in the module at path, as ("file:line", the
+    expression passed as epsilon=, or None when there is none)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (f"{path.name}:{node.lineno}",
+         next((k.value for k in node.keywords if k.arg == "epsilon"), None))
+        for node in ast.walk(tree)
+        if called_name(node) == "sinkhorn"
+    ]
+
+
+def test_every_sinkhorn_call_takes_the_relative_epsilon():
+    """Every transport solve in the package passes epsilon= as a call of
+    `transport.relative_epsilon`, a scale times the mean cost, so no call
+    site brings back an epsilon tied to the cost's units."""
+    calls = [call for path in sorted(SRC.glob("*.py")) for call in sinkhorn_calls(path)]
+    assert {site.split(":")[0] for site, _ in calls} >= {"clustering.py", "mixture.py"}
+    bad = [site for site, epsilon in calls if called_name(epsilon) != "relative_epsilon"]
+    assert not bad, bad

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 import ogmm.clustering
 import ogmm.mixture
@@ -10,7 +11,7 @@ from ogmm.features import FeatureConfig, encode
 from ogmm.geometry import farthest_point_sample
 from ogmm.io import sample_shape
 from ogmm.registration import FEATURE_DIM, FEATURE_SEED, RegisterConfig
-from ogmm.transport import TransportPlan, sinkhorn
+from ogmm.transport import EPSILON_FLOOR, TransportPlan, relative_epsilon, sinkhorn
 
 
 def lp_transport(cost, mu, nu):
@@ -556,6 +557,20 @@ class TestWarmStart:
             TransportPlan(np.full((2, 3), 1 / 6), True, 1, 0.0, np.zeros(2))
 
 
+class TestRelativeEpsilon:
+    def test_all_zero_cost_gets_the_floor(self):
+        assert EPSILON_FLOOR == 1e-12
+        assert relative_epsilon(np.zeros((5, 3)), SINKHORN_EPSILON_SCALE) == 1e-12
+
+    def test_kmeans_epsilon_is_the_inline_expression(self):
+        # The expression the Lloyd loop computed inline before the rule had
+        # a name; equal floats hold the same bits.
+        points, centroids = _kmeans_problem(np.random.default_rng(30), 256, 16)
+        cost = cdist(points, centroids, "sqeuclidean")
+        inline = max(SINKHORN_EPSILON_SCALE * float(cost.mean()), 1e-12)
+        assert relative_epsilon(cost, SINKHORN_EPSILON_SCALE) == inline
+
+
 def _farthest_point_problem(dim, n, j):
     """The first Lloyd step's points and farthest-point centroids: a
     composite shape in 3-D, or its 32-D descriptors as `register` encodes
@@ -633,8 +648,9 @@ class TestWarmStartWithoutOpeningSweep:
 def _matching_problem(rng, size, empty_rows=(), empty_cols=()):
     """cost/epsilon and marginals shaped like the desk matching solve:
     squared distances between two noisy, permuted copies of `size` 32-d
-    feature centroids (median about 16), at epsilon 0.01, with uneven
-    component weights. Empty components (no overlap mass) have all-zero
+    feature centroids (median about 16), at epsilon 0.01 (the absolute
+    epsilon the matching once used, far below its 0.005 x the mean cost
+    now, so a harder problem), with uneven component weights. Empty components (no overlap mass) have all-zero
     centroids, as `estimate_gmm` gives them."""
     centroids = rng.normal(0.0, 0.5, size=(size, 32))
     other = centroids[rng.permutation(size)] + rng.normal(0.0, 0.3, size=(size, 32))
@@ -671,8 +687,8 @@ def _newton(z, mu, nu, max_iter, tol=1e-6):
 
 
 class TestNewtonLoop:
-    """The cold solve converges on the desk matching solves, where plain
-    Sinkhorn runs out of budget, and agrees with plain Sinkhorn wherever
+    """The cold solve converges on desk-shaped matching solves at a small
+    epsilon, where plain Sinkhorn runs out of budget, and agrees with plain Sinkhorn wherever
     that converges."""
 
     @pytest.mark.parametrize("size", [8, 16])
